@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for SPES's hot paths: WT extraction,
 // deterministic categorization, arrival decode, the per-minute provision
-// step and the IAT histogram update, plus the end-to-end simulation kernel
+// step (event-driven vs the dense reference loop) and the IAT histogram
+// update, plus the end-to-end simulation kernel
 // (columnar SimStream vs the kept naive reference loop). These back the
 // RQ2 overhead discussion — every per-invocation operation must be
 // O(1)-ish for the unbillable scheduling window — and pin the simulator's
@@ -26,14 +27,15 @@
 
 #include "common/env.h"
 #include "core/categorizer.h"
-#include "core/policy_registry.h"
 #include "core/series_features.h"
+#include "core/spes_policy.h"
 #include "policies/fixed_keepalive.h"
 #include "policies/iat_histogram.h"
 #include "sim/columnar.h"
 #include "sim/engine.h"
 #include "sim/reference_kernel.h"
 #include "sim/stream.h"
+#include "tests/reference_spes_policy.h"
 #include "trace/generator.h"
 #include "trace/trace_file.h"
 #include "trace/trace_source.h"
@@ -231,17 +233,20 @@ void BM_TraceFileStreamDecode(benchmark::State& state) {
 BENCHMARK(BM_TraceFileStreamDecode)->Apply(FleetArgs);
 
 // --------------------------------------------------------------------------
-// SPES provision step. Arrivals are pre-decoded OUTSIDE the timed region —
-// the old version re-ran the O(n) decode inside the loop, so at large
-// fleets it measured decode, not the policy step.
+// SPES provision step: the event-driven SpesPolicy vs the dense reference
+// loop (tests/reference_spes_policy.h) over the same minutes. Arrivals are
+// pre-decoded OUTSIDE the timed region, and each minute is fed as the
+// engine feeds it (arrivals loaded first). Minutes run strictly in order:
+// when the simulated day runs out, a fresh policy is trained and the
+// MemSet cleared, untimed. tools/check_bench_regression.py --min-spes-ratio
+// gates the ratio of the two series.
 // --------------------------------------------------------------------------
 
-void BM_SpesProvisionMinute(benchmark::State& state) {
+template <typename PolicyT>
+void SpesProvisionMinute(benchmark::State& state) {
   const GeneratedTrace& fleet = SharedFleet(state.range(0));
-  const std::unique_ptr<Policy> policy =
-      PolicyRegistry::Global().Create({"spes", {}}).ValueOrDie();
   const int train = TrainMinutes(fleet.trace);
-  policy->Train(fleet.trace, train);
+  const size_t n = fleet.trace.num_functions();
   // Pre-decode every simulated minute once, outside the measurement.
   const int sim_minutes = fleet.trace.num_minutes() - train;
   std::vector<std::vector<Invocation>> decoded(
@@ -253,15 +258,37 @@ void BM_SpesProvisionMinute(benchmark::State& state) {
       decoded[static_cast<size_t>(m)].assign(span.begin(), span.end());
     }
   }
-  MemSet mem(fleet.trace.num_functions());
+  auto policy = std::make_unique<PolicyT>();
+  policy->Train(fleet.trace, train);
+  MemSet mem(n);
   int m = 0;
   for (auto _ : state) {
-    policy->OnMinute(train + m, decoded[static_cast<size_t>(m)], &mem);
-    m = (m + 1) % sim_minutes;
+    if (m == sim_minutes) {
+      state.PauseTiming();
+      policy = std::make_unique<PolicyT>();
+      policy->Train(fleet.trace, train);
+      mem = MemSet(n);
+      m = 0;
+      state.ResumeTiming();
+    }
+    const std::vector<Invocation>& arrivals = decoded[static_cast<size_t>(m)];
+    for (const Invocation& inv : arrivals) mem.Add(inv.function);
+    policy->OnMinute(train + m, arrivals, &mem);
+    benchmark::DoNotOptimize(mem.Count());
+    ++m;
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
+
+void BM_SpesProvisionMinute(benchmark::State& state) {
+  SpesProvisionMinute<SpesPolicy>(state);
+}
 BENCHMARK(BM_SpesProvisionMinute)->Apply(FleetArgs);
+
+void BM_SpesProvisionMinuteReference(benchmark::State& state) {
+  SpesProvisionMinute<ReferenceSpesPolicy>(state);
+}
+BENCHMARK(BM_SpesProvisionMinuteReference)->Apply(FleetArgs);
 
 // --------------------------------------------------------------------------
 // End-to-end simulation kernel over the last trace day: the columnar

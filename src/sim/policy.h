@@ -38,6 +38,11 @@ class Policy {
   /// (executions occupy memory regardless of policy); the policy applies
   /// its keep-alive / pre-warm / eviction logic. `arrivals` lists this
   /// minute's invoked functions with counts.
+  ///
+  /// Contract: `t` strictly increases from call to call, but minutes may
+  /// be skipped — a dead cluster node's policy is not stepped at all — so
+  /// a policy must not assume one call per minute. Between calls, code
+  /// outside the policy may evict from `mem` (cluster capacity).
   virtual void OnMinute(int t, const std::vector<Invocation>& arrivals,
                         MemSet* mem) = 0;
 

@@ -12,6 +12,10 @@ machine, so they hold on any runner class):
 
   * --min-ratio R: BM_SimKernelColumnar must be at least R times faster
     (items/sec) than BM_SimKernelReference at every common fleet size.
+  * --min-spes-ratio R: BM_SpesProvisionMinute (the event-driven SPES
+    step) must be at least R times faster (items/sec) than
+    BM_SpesProvisionMinuteReference (the dense reference loop) at every
+    common fleet size.
   * --max-stream-overhead F: BM_TraceFileStreamDecode (the packed-file
     streaming decode) may be at most F times slower than BM_InMemoryDecode
     at every common fleet size — the out-of-core path must stay within a
@@ -19,8 +23,8 @@ machine, so they hold on any runner class):
 
 Usage:
   tools/check_bench_regression.py BASELINE.json FRESH.json \
-      [--tolerance 0.20] [--min-ratio 10] [--max-stream-overhead 6] \
-      [--gate BM_SimKernelColumnar]
+      [--tolerance 0.20] [--min-ratio 10] [--min-spes-ratio 0.6] \
+      [--max-stream-overhead 6] [--gate BM_SimKernelColumnar]
 """
 
 import argparse
@@ -47,6 +51,31 @@ def fleet_size(name):
     return name.rsplit("/", 1)[1] if "/" in name else ""
 
 
+def series(results, base):
+    """{fleet size: items/sec} of the benchmarks named exactly `base`."""
+    return {fleet_size(n): v for n, v in results.items()
+            if n.split("/", 1)[0] == base}
+
+
+def check_min_ratio(fresh, fast, slow, floor, label, failures):
+    """Requires fast/slow items/sec >= floor at every common fleet size."""
+    fast_ips = series(fresh, fast)
+    slow_ips = series(fresh, slow)
+    common = sorted(set(fast_ips) & set(slow_ips))
+    if not common:
+        failures.append(f"{label}: the fresh run has no common "
+                        f"{fast}/{slow} sizes")
+    for size in common:
+        ratio = fast_ips[size] / slow_ips[size]
+        status = "ok" if ratio >= floor else "TOO SLOW"
+        print(f"{label} @ {size or 'default'} functions: {ratio:.2f}x "
+              f"[{status}]")
+        if ratio < floor:
+            failures.append(
+                f"{label} only {ratio:.2f}x at {size or 'default'} "
+                f"functions (requires >= {floor:g}x)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline", help="committed BENCH_*.json artifact")
@@ -56,6 +85,9 @@ def main():
     parser.add_argument("--min-ratio", type=float, default=None,
                         help="required columnar/reference items/sec ratio "
                              "within the fresh run")
+    parser.add_argument("--min-spes-ratio", type=float, default=None,
+                        help="required event-driven/dense SPES provision "
+                             "step items/sec ratio within the fresh run")
     parser.add_argument("--max-stream-overhead", type=float, default=None,
                         help="max allowed in-memory/streamed decode "
                              "items/sec ratio within the fresh run")
@@ -87,30 +119,19 @@ def main():
                 f"(> {args.tolerance:.0%} tolerance)")
 
     if args.min_ratio is not None:
-        columnar = {fleet_size(n): v for n, v in fresh.items()
-                    if n.startswith("BM_SimKernelColumnar")}
-        reference = {fleet_size(n): v for n, v in fresh.items()
-                     if n.startswith("BM_SimKernelReference")}
-        common = sorted(set(columnar) & set(reference))
-        if not common:
-            failures.append("--min-ratio given but the fresh run has no "
-                            "common SimKernel Columnar/Reference sizes")
-        for size in common:
-            ratio = columnar[size] / reference[size]
-            status = "ok" if ratio >= args.min_ratio else "TOO SLOW"
-            print(f"SimKernel columnar/reference @ {size or 'default'} "
-                  f"functions: {ratio:.1f}x [{status}]")
-            if ratio < args.min_ratio:
-                failures.append(
-                    f"columnar kernel only {ratio:.1f}x the reference at "
-                    f"{size or 'default'} functions "
-                    f"(requires >= {args.min_ratio:g}x)")
+        check_min_ratio(fresh, "BM_SimKernelColumnar",
+                        "BM_SimKernelReference", args.min_ratio,
+                        "SimKernel columnar/reference", failures)
+
+    if args.min_spes_ratio is not None:
+        check_min_ratio(fresh, "BM_SpesProvisionMinute",
+                        "BM_SpesProvisionMinuteReference",
+                        args.min_spes_ratio,
+                        "SPES provision event-driven/dense", failures)
 
     if args.max_stream_overhead is not None:
-        in_memory = {fleet_size(n): v for n, v in fresh.items()
-                     if n.startswith("BM_InMemoryDecode")}
-        streamed = {fleet_size(n): v for n, v in fresh.items()
-                    if n.startswith("BM_TraceFileStreamDecode")}
+        in_memory = series(fresh, "BM_InMemoryDecode")
+        streamed = series(fresh, "BM_TraceFileStreamDecode")
         common = sorted(set(in_memory) & set(streamed))
         if not common:
             failures.append("--max-stream-overhead given but the fresh run "
