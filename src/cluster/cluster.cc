@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -47,6 +49,15 @@ Result<int64_t> EventIntParam(const NamedSpec& spec, const std::string& name,
         std::to_string(min_value) + ", " + std::to_string(kMaxValue) + "]");
   }
   return value;
+}
+
+/// Participants in the per-node phase: SimOptions::step_threads, with 0
+/// meaning every hardware thread, capped at one per node.
+int ResolveStepThreads(int requested, size_t nodes) {
+  size_t threads = static_cast<size_t>(requested);
+  if (requested == 0) threads = std::thread::hardware_concurrency();
+  threads = std::min(threads, nodes);
+  return threads < 1 ? 1 : static_cast<int>(threads);
 }
 
 }  // namespace
@@ -322,6 +333,7 @@ Result<ClusterSession> ClusterSession::CreateImpl(
         static_cast<size_t>(end - options.train_minutes));
     session.nodes_.push_back(std::move(node));
   }
+  session.step_threads_ = ResolveStepThreads(options.step_threads, total_nodes);
   if (options.latency.has_value()) {
     const LatencySpec& latency = *options.latency;
     // One shared hash table: the keys depend only on function names and
@@ -388,14 +400,16 @@ void ClusterSession::ApplyEvents(int t) {
   }
 }
 
-void ClusterSession::EnforceCapacity(Node* node, int t) {
+void ClusterSession::EnforceCapacity(Node* node, int t) const {
   if (node->capacity <= 0) return;
   const size_t capacity = static_cast<size_t>(node->capacity);
   if (node->mem.Count() <= capacity) return;
 
   // Idle instances (not executing this minute, unless pinning is off) in
   // LRU order by last arrival on this node; ties evict the lowest id.
-  std::vector<std::pair<int32_t, uint32_t>> candidates;
+  std::vector<std::pair<int32_t, uint32_t>>& candidates =
+      node->evict_candidates;
+  candidates.clear();
   node->mem.ForEachLoaded([this, node, t, &candidates](size_t f) {
     if (options_.pin_executing_functions && node->last_used[f] == t) return;
     candidates.emplace_back(node->last_used[f], static_cast<uint32_t>(f));
@@ -505,89 +519,27 @@ Status ClusterSession::StepLocked() {
     serving.arrivals.push_back(inv);
   }
 
+  // Phase 2: every node's own work. Each task touches only its node, so
+  // node k may run on any participant; results never depend on which.
+  if (step_threads_ > 1 && pool_ == nullptr) {
+    try {
+      pool_ = std::make_unique<ForkJoinPool>(step_threads_);
+    } catch (const std::system_error&) {
+      step_threads_ = 1;  // no threads to be had: stay serial
+    }
+  }
+  if (pool_ != nullptr) {
+    pool_->Run(nodes_.size(), [this, t](size_t k) { StepNode(&nodes_[k], t); });
+  } else {
+    for (Node& node : nodes_) StepNode(&node, t);
+  }
+
+  // Phase 3, back on the calling thread and in node order: observers and
+  // heartbeats see each live node exactly as the serial loop left it.
   bool stop_requested = false;
   for (size_t k = 0; k < nodes_.size(); ++k) {
     Node& node = nodes_[k];
-    if (!NodeLive(node)) {
-      node.memory_series.push_back(0);
-      if (node.latency != nullptr) {
-        // No arrivals route here (node.arrivals was cleared above), but
-        // the queue keeps draining: requests admitted before the node
-        // died or drained still complete, and waiters still time out on
-        // schedule.
-        node.cold_flags.clear();
-        node.latency->OnMinute(t, node.arrivals, node.cold_flags);
-      }
-      continue;
-    }
-
-    // 1-2. Cold-start accounting, then execution pins the instance —
-    // identical to a SimStream lane over this node's routed arrivals.
-    // The latency variant additionally records which arrivals were cold
-    // (the flags feed LatencyLane::OnMinute below); the plain variant is
-    // the original loop, untouched so disabled runs stay byte-identical.
-    if (node.latency == nullptr) {
-      for (const Invocation& inv : node.arrivals) {
-        FunctionAccount& acc = node.accounts[inv.function];
-        acc.invocations += inv.count;
-        acc.invoked_minutes += 1;
-        node.totals.invocations += inv.count;
-        if (!node.mem.Contains(inv.function)) {
-          acc.cold_starts += 1;
-          node.totals.cold_starts += 1;
-        }
-        node.mem.Add(inv.function);
-        node.last_used[inv.function] = t;
-      }
-    } else {
-      node.cold_flags.assign(node.arrivals.size(), 0);
-      for (size_t i = 0; i < node.arrivals.size(); ++i) {
-        const Invocation& inv = node.arrivals[i];
-        FunctionAccount& acc = node.accounts[inv.function];
-        acc.invocations += inv.count;
-        acc.invoked_minutes += 1;
-        node.totals.invocations += inv.count;
-        if (!node.mem.Contains(inv.function)) {
-          acc.cold_starts += 1;
-          node.totals.cold_starts += 1;
-          node.cold_flags[i] = 1;
-        }
-        node.mem.Add(inv.function);
-        node.last_used[inv.function] = t;
-      }
-    }
-
-    // 3. Policy step (timed for the RQ2 overhead measurement; the
-    // monotonic clock lives in obs/clock so the linter can confine it).
-    const double start = MonotonicSeconds();
-    node.policy->OnMinute(t, node.arrivals, &node.mem);
-    node.overhead_seconds += MonotonicSeconds() - start;
-
-    if (options_.pin_executing_functions) {
-      for (const Invocation& inv : node.arrivals) node.mem.Add(inv.function);
-    }
-
-    // Cluster-only: the node sheds idle instances above its capacity.
-    EnforceCapacity(&node, t);
-
-    // 4. Residency accounting. "Idle" is node-local: an instance is
-    // wasted on this node unless the function arrived *here* this minute
-    // (a warm copy left behind on another node is pure waste). Only the
-    // loaded ids are visited — word-at-a-time over the membership bitset.
-    node.mem.ForEachLoaded([&node, t](size_t f) {
-      FunctionAccount& acc = node.accounts[f];
-      acc.loaded_minutes += 1;
-      node.totals.loaded_instance_minutes += 1;
-      if (node.last_used[f] != t) {
-        acc.wasted_minutes += 1;
-        node.totals.wasted_memory_minutes += 1;
-      }
-    });
-    node.memory_series.push_back(static_cast<uint32_t>(node.mem.Count()));
-
-    if (node.latency != nullptr) {
-      node.latency->OnMinute(t, node.arrivals, node.cold_flags);
-    }
+    if (!NodeLive(node)) continue;
 
     if (!observers_.empty()) {
       MinuteView view;
@@ -632,6 +584,90 @@ Status ClusterSession::StepLocked() {
   ++cursor_;
   if (stop_requested) stopped_ = true;
   return Status::OK();
+}
+
+void ClusterSession::StepNode(Node* node_ptr, int t) const {
+  Node& node = *node_ptr;
+  if (!NodeLive(node)) {
+    node.memory_series.push_back(0);
+    if (node.latency != nullptr) {
+      // No arrivals route here (node.arrivals was cleared by routing),
+      // but the queue keeps draining: requests admitted before the node
+      // died or drained still complete, and waiters still time out on
+      // schedule.
+      node.cold_flags.clear();
+      node.latency->OnMinute(t, node.arrivals, node.cold_flags);
+    }
+    return;
+  }
+
+  // 1-2. Cold-start accounting, then execution pins the instance —
+  // identical to a SimStream lane over this node's routed arrivals.
+  // The latency variant additionally records which arrivals were cold
+  // (the flags feed LatencyLane::OnMinute below); the plain variant is
+  // the original loop, untouched so disabled runs stay byte-identical.
+  if (node.latency == nullptr) {
+    for (const Invocation& inv : node.arrivals) {
+      FunctionAccount& acc = node.accounts[inv.function];
+      acc.invocations += inv.count;
+      acc.invoked_minutes += 1;
+      node.totals.invocations += inv.count;
+      if (!node.mem.Contains(inv.function)) {
+        acc.cold_starts += 1;
+        node.totals.cold_starts += 1;
+      }
+      node.mem.Add(inv.function);
+      node.last_used[inv.function] = t;
+    }
+  } else {
+    node.cold_flags.assign(node.arrivals.size(), 0);
+    for (size_t i = 0; i < node.arrivals.size(); ++i) {
+      const Invocation& inv = node.arrivals[i];
+      FunctionAccount& acc = node.accounts[inv.function];
+      acc.invocations += inv.count;
+      acc.invoked_minutes += 1;
+      node.totals.invocations += inv.count;
+      if (!node.mem.Contains(inv.function)) {
+        acc.cold_starts += 1;
+        node.totals.cold_starts += 1;
+        node.cold_flags[i] = 1;
+      }
+      node.mem.Add(inv.function);
+      node.last_used[inv.function] = t;
+    }
+  }
+
+  // 3. Policy step (timed for the RQ2 overhead measurement; the
+  // monotonic clock lives in obs/clock so the linter can confine it).
+  const double start = MonotonicSeconds();
+  node.policy->OnMinute(t, node.arrivals, &node.mem);
+  node.overhead_seconds += MonotonicSeconds() - start;
+
+  if (options_.pin_executing_functions) {
+    for (const Invocation& inv : node.arrivals) node.mem.Add(inv.function);
+  }
+
+  // Cluster-only: the node sheds idle instances above its capacity.
+  EnforceCapacity(&node, t);
+
+  // 4. Residency accounting. "Idle" is node-local: an instance is
+  // wasted on this node unless the function arrived *here* this minute
+  // (a warm copy left behind on another node is pure waste). Only the
+  // loaded ids are visited — word-at-a-time over the membership bitset.
+  node.mem.ForEachLoaded([&node, t](size_t f) {
+    FunctionAccount& acc = node.accounts[f];
+    acc.loaded_minutes += 1;
+    node.totals.loaded_instance_minutes += 1;
+    if (node.last_used[f] != t) {
+      acc.wasted_minutes += 1;
+      node.totals.wasted_memory_minutes += 1;
+    }
+  });
+  node.memory_series.push_back(static_cast<uint32_t>(node.mem.Count()));
+
+  if (node.latency != nullptr) {
+    node.latency->OnMinute(t, node.arrivals, node.cold_flags);
+  }
 }
 
 Status ClusterSession::Step() {
@@ -681,6 +717,7 @@ Result<ClusterOutcome> ClusterSession::Finish() {
   const Status run = RunUntil(end_);
   if (!run.ok() && run.code() != StatusCode::kCancelled) return run;
   finished_ = true;
+  pool_.reset();  // no more steps: join the workers
   if (options_.recorder != nullptr) {
     options_.recorder->EndSpan(simulate_span_);
     simulate_span_ = 0;

@@ -30,9 +30,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/router.h"
+#include "common/fork_join.h"
 #include "common/status.h"
 #include "core/policy_registry.h"
 #include "sim/accounting.h"
@@ -195,8 +197,11 @@ Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes);
 /// from `policy` through PolicyRegistry::Global(), trains each on the
 /// trace prefix, builds the router, and positions the cursor at the
 /// first simulated minute. The trace and observers are borrowed and must
-/// outlive the session. Not thread-safe; drive each session from one
-/// thread.
+/// outlive the session. Not thread-safe: callers still drive each session
+/// from one thread. Internally each Step() fans the per-node work out
+/// over up to SimOptions::step_threads threads and joins before it
+/// returns; outcomes, checkpoints and observer calls do not depend on
+/// the thread count.
 class ClusterSession {
  public:
   static Result<ClusterSession> Create(const Trace& trace,
@@ -292,6 +297,8 @@ class ClusterSession {
     std::unique_ptr<LatencyLane> latency;
     /// Scratch: per-arrival cold flags for the latency path.
     std::vector<uint8_t> cold_flags;
+    /// Scratch: (last use, id) eviction candidates of EnforceCapacity.
+    std::vector<std::pair<int32_t, uint32_t>> evict_candidates;
   };
 
   ClusterSession(TraceSource* source, std::unique_ptr<TraceSource> owned,
@@ -319,13 +326,21 @@ class ClusterSession {
   /// Delivers OnStreamStart exactly once, before any other callback.
   void EnsureStarted();
 
-  /// One simulated minute: shared decode, routing, then one engine-lane
-  /// step plus pressure eviction per live node. Internal on a router
-  /// that returns an unroutable node.
+  /// One simulated minute in three phases: events, the shared decode and
+  /// routing on the calling thread; then StepNode for every node, fanned
+  /// out over the pool; then, back on the calling thread and in node
+  /// order, observers and recorder heartbeats. Internal on a router that
+  /// returns an unroutable node.
   Status StepLocked();
 
+  /// The per-node phase of minute `t`: cold/pin accounting, the policy
+  /// step, capacity pressure, residency and the latency lane of a live
+  /// node, or the latency drain of a dead one. Touches only `node` and
+  /// read-only session state, so nodes may run concurrently.
+  void StepNode(Node* node, int t) const;
+
   /// Evicts idle instances in LRU order until `node` fits its capacity.
-  void EnforceCapacity(Node* node, int t);
+  void EnforceCapacity(Node* node, int t) const;
 
   /// The in-memory adapter when created from a Trace; null for borrowed
   /// sources. Heap-allocated so source_ stays stable across moves.
@@ -358,6 +373,13 @@ class ClusterSession {
   /// Per-request sampling keys shared by every node's latency lane; null
   /// when the latency subsystem is disabled.
   std::shared_ptr<const std::vector<uint64_t>> latency_hashes_;
+
+  /// Participants in the per-node phase, resolved from
+  /// SimOptions::step_threads; 1 runs it serially on the calling thread.
+  int step_threads_ = 1;
+  /// Workers for the per-node phase: started by the first Step() when
+  /// step_threads_ > 1, joined by Finish() or destruction.
+  std::unique_ptr<ForkJoinPool> pool_;
 
   /// Open "simulate" span token when SimOptions.recorder is set; closed
   /// by Finish(). Observability only — never feeds sim state.

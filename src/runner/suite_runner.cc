@@ -19,14 +19,17 @@ namespace {
 /// session, the fleet aggregate lands in JobResult::outcome and the
 /// per-node breakdown in JobResult::cluster. Shared by the pooled worker
 /// and the lockstep path so both produce bitwise-identical results.
+/// `serial_step` keeps the session's node phase on the calling thread,
+/// for jobs that already run on a multi-worker pool.
 void RunClusterJob(const Trace& workload, const ScenarioSpec& spec,
-                   int recorder_slot,
+                   int recorder_slot, bool serial_step,
                    const std::vector<SimObserver*>& observers,
                    JobResult* result) {
   // The spec's options drive the session; only the observability slot is
   // stamped per job so recorded events identify their slot.
   SimOptions options = spec.options;
   options.recorder_slot = recorder_slot;
+  if (serial_step) options.step_threads = 1;
   Result<ClusterSession> session = ClusterSession::Create(
       workload, *spec.cluster, spec.policy, options);
   if (!session.ok()) {
@@ -127,8 +130,10 @@ std::vector<JobResult> SuiteRunner::Run(const Trace& trace,
       result.status = std::move(job.precondition);
     } else if (job.cluster_scenario != nullptr) {
       const Trace& workload = job.trace ? *job.trace : trace;
-      RunClusterJob(workload, *job.cluster_scenario,
-                    static_cast<int>(slot), job.observers, &result);
+      // Pool workers already fill the cores: a cluster job steps its
+      // nodes on its own worker instead of oversubscribing them.
+      RunClusterJob(workload, *job.cluster_scenario, static_cast<int>(slot),
+                    /*serial_step=*/num_threads > 1, job.observers, &result);
     } else if (!job.factory) {
       result.status = Status::InvalidArgument("job has no policy factory");
     } else {
@@ -303,7 +308,7 @@ std::vector<JobResult> SuiteRunner::RunLockstep(
 
   for (size_t slot : cluster_slots) {
     RunClusterJob(trace, *cluster_specs[slot], static_cast<int>(slot),
-                  specs[slot].observers, &results[slot]);
+                  /*serial_step=*/false, specs[slot].observers, &results[slot]);
     report(slot);
   }
 

@@ -31,6 +31,11 @@ Status ValidateSimOptions(const SimOptions& options) {
         "SimOptions.recorder_slot (=" +
         std::to_string(options.recorder_slot) + ") must be non-negative");
   }
+  if (options.step_threads < 0) {
+    return Status::InvalidArgument(
+        "SimOptions.step_threads (=" + std::to_string(options.step_threads) +
+        ") must be non-negative");
+  }
   return Status::OK();
 }
 

@@ -49,14 +49,21 @@ struct SimOptions {
   /// traces are stable at any thread count. Ignored when recorder is
   /// null; must be non-negative.
   int recorder_slot = 0;
+  /// Threads a ClusterSession step fans its per-node work out over: 0
+  /// (the default) means min(nodes, hardware threads), 1 runs every node
+  /// on the calling thread, and values above the node count are capped
+  /// at it; must be non-negative. Results, checkpoints and observer calls
+  /// are identical at every value, so it is not part of a checkpoint.
+  /// SimStream lanes always step on the calling thread.
+  int step_threads = 0;
 };
 
 /// \brief Trace-independent validation of the engine knobs: a negative
-/// train_minutes or end_minute, an end_minute before train_minutes, or an
-/// invalid latency block yields InvalidArgument naming the offending
-/// field. Shared by the engine and by ScenarioSpec validation
-/// (sim/scenario.h) so bad windows are rejected up front, before any
-/// trace is realized.
+/// train_minutes, end_minute, recorder_slot or step_threads, an
+/// end_minute before train_minutes, or an invalid latency block yields
+/// InvalidArgument naming the offending field. Shared by the engine and
+/// by ScenarioSpec validation (sim/scenario.h) so bad windows are
+/// rejected up front, before any trace is realized.
 Status ValidateSimOptions(const SimOptions& options);
 
 /// \brief Trains `policy` on the trace prefix and replays the rest.

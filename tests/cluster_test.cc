@@ -1,11 +1,13 @@
 // Cluster subsystem tests: RouterRegistry schemas and errors, the
 // node-event grammar, ClusterSpec validation, routing semantics of the
 // built-in strategies, per-node capacity pressure, node lifecycle events,
-// and the Scenario/SuiteRunner integration points. The exact-counter
+// the parallel cluster step (identical runs at every step_threads), and
+// the Scenario/SuiteRunner integration points. The exact-counter
 // cluster goldens live in golden_metrics_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,9 +15,12 @@
 #include "cluster/cluster.h"
 #include "cluster/router.h"
 #include "metrics/report.h"
+#include "obs/recorder.h"
+#include "obs/run_log.h"
 #include "runner/suite_runner.h"
 #include "sim/observers.h"
 #include "sim/scenario.h"
+#include "trace/generator.h"
 #include "trace/trace.h"
 
 namespace spes {
@@ -455,6 +460,201 @@ TEST(ClusterSessionTest, EarlyStopSignalsCancelledLikeSimStream) {
   // Finish() still returns the partial-window outcome after the stop.
   const ClusterOutcome outcome = session.Finish().ValueOrDie();
   EXPECT_EQ(outcome.fleet.memory_series.size(), 6u);
+}
+
+// ---------------------------------------------------------------------
+// Parallel cluster step: every step_threads value gives the same run
+// ---------------------------------------------------------------------
+
+/// A capped least_loaded cluster with a latency block and a node
+/// timeline that drains, fails and adds nodes mid-window.
+struct ParallelCase {
+  int nodes;
+  int capacity;
+  const char* events;
+};
+
+constexpr ParallelCase kParallelCases[] = {
+    {4, 12, "drain{at=1700,node=0} | fail{at=2000,node=2} | add{at=2200}"},
+    {6, 8, "drain{at=1600,node=3} | fail{at=1900,node=5} | add{at=2300}"},
+};
+
+constexpr int kParallelThreads[] = {1, 2, 3, 4, 8};
+
+/// Tight enough (one slot, four queue places) that requests time out.
+constexpr char kParallelLatency[] =
+    "lognormal{warm_median_ms=40,warm_sigma=0.4} @ "
+    "queue{capacity=4,concurrency=1,seed=42,timeout_ms=250}";
+
+Trace ParallelFleet() {
+  GeneratorConfig config;
+  config.num_functions = 120;
+  config.days = 2;
+  config.seed = 5;
+  return std::move(GenerateTrace(config).ValueOrDie().trace);
+}
+
+ClusterSession OpenParallelSession(const Trace& trace, const ParallelCase& c,
+                                   int step_threads,
+                                   RunRecorder* recorder = nullptr) {
+  ClusterSpec cluster;
+  cluster.nodes = c.nodes;
+  cluster.node_capacity = c.capacity;
+  cluster.router = {"least_loaded", {}};
+  cluster.events = ParseNodeEventTimeline(c.events).ValueOrDie();
+  SimOptions options;
+  options.train_minutes = kMinutesPerDay;
+  options.latency = ParseLatencySpec(kParallelLatency).ValueOrDie();
+  options.recorder = recorder;
+  options.step_threads = step_threads;
+  return ClusterSession::Create(trace, cluster, {"spes", {}}, options)
+      .ValueOrDie();
+}
+
+void ExpectSameSimulation(const SimulationOutcome& a,
+                          const SimulationOutcome& b) {
+  ASSERT_EQ(a.accounts.size(), b.accounts.size());
+  for (size_t f = 0; f < a.accounts.size(); ++f) {
+    const FunctionAccount& x = a.accounts[f];
+    const FunctionAccount& y = b.accounts[f];
+    EXPECT_EQ(x.invocations, y.invocations) << f;
+    EXPECT_EQ(x.invoked_minutes, y.invoked_minutes) << f;
+    EXPECT_EQ(x.cold_starts, y.cold_starts) << f;
+    EXPECT_EQ(x.loaded_minutes, y.loaded_minutes) << f;
+    EXPECT_EQ(x.wasted_minutes, y.wasted_minutes) << f;
+  }
+  EXPECT_EQ(a.memory_series, b.memory_series);
+  ASSERT_EQ(a.latency == nullptr, b.latency == nullptr);
+  if (a.latency != nullptr) {
+    EXPECT_TRUE(*a.latency == *b.latency);
+  }
+}
+
+void ExpectSameCluster(const ClusterOutcome& a, const ClusterOutcome& b) {
+  ExpectSameSimulation(a.fleet, b.fleet);
+  EXPECT_EQ(a.reroutes, b.reroutes);
+  ASSERT_EQ(a.nodes.size(), b.nodes.size());
+  for (size_t k = 0; k < a.nodes.size(); ++k) {
+    SCOPED_TRACE("node " + std::to_string(k));
+    EXPECT_EQ(a.nodes[k].final_state, b.nodes[k].final_state);
+    EXPECT_EQ(a.nodes[k].pressure_evictions, b.nodes[k].pressure_evictions);
+    EXPECT_EQ(a.nodes[k].reroutes_in, b.nodes[k].reroutes_in);
+    ExpectSameSimulation(a.nodes[k].sim, b.nodes[k].sim);
+  }
+}
+
+/// Checkpoint bytes with the wall-clock policy-step timers zeroed.
+std::string CheckpointBytes(const ClusterSession& session) {
+  ClusterCheckpoint checkpoint = session.Checkpoint().ValueOrDie();
+  for (ClusterCheckpoint::Node& node : checkpoint.nodes) {
+    node.overhead_seconds = 0.0;
+  }
+  return SerializeClusterCheckpoint(checkpoint);
+}
+
+/// Everything one run exposes: its outcome, each observer call as
+/// (minute, lane, cold starts, loaded) and its run log.
+struct ParallelRun {
+  ClusterOutcome outcome;
+  std::vector<std::vector<uint64_t>> calls;
+  std::string run_log;
+};
+
+ParallelRun RunParallel(const Trace& trace, const ParallelCase& c,
+                        int step_threads) {
+  // A frozen clock makes every wall-clock field of the log read zero.
+  StringLogSink sink;
+  RunRecorder::Options recorder_options;
+  recorder_options.heartbeat_minute_stride = 30;
+  RunRecorder recorder(&sink, recorder_options, [] { return 0.0; });
+  ParallelRun run;
+  CallbackObserver observer([&run](const MinuteView& view) {
+    run.calls.push_back({static_cast<uint64_t>(view.minute), view.lane,
+                         view.totals.cold_starts, view.mem->Count()});
+    return true;
+  });
+  ClusterSession session =
+      OpenParallelSession(trace, c, step_threads, &recorder);
+  session.AddObserver(&observer);
+  run.outcome = session.Finish().ValueOrDie();
+  recorder.Finish();
+  run.run_log = sink.contents();
+  return run;
+}
+
+TEST(ClusterParallelStepTest, EveryThreadCountGivesTheSameRun) {
+  const Trace trace = ParallelFleet();
+  for (const ParallelCase& c : kParallelCases) {
+    SCOPED_TRACE(std::to_string(c.nodes) + " nodes");
+    const ParallelRun serial = RunParallel(trace, c, 1);
+    // The timeline and the caps are live: nodes change state and shed
+    // instances under pressure.
+    EXPECT_EQ(serial.outcome.nodes.size(), static_cast<size_t>(c.nodes) + 1);
+    EXPECT_EQ(serial.outcome.nodes[0].sim.memory_series.size(), 1440u);
+    uint64_t evictions = 0;
+    for (const NodeOutcome& node : serial.outcome.nodes) {
+      evictions += node.pressure_evictions;
+    }
+    EXPECT_GT(evictions, 0u);
+    EXPECT_GT(serial.outcome.fleet.latency->timeouts, 0u);
+    for (int threads : kParallelThreads) {
+      SCOPED_TRACE("step_threads " + std::to_string(threads));
+      const ParallelRun run = RunParallel(trace, c, threads);
+      ExpectSameCluster(serial.outcome, run.outcome);
+      EXPECT_EQ(serial.calls, run.calls);
+      EXPECT_EQ(serial.run_log, run.run_log);
+    }
+  }
+}
+
+TEST(ClusterParallelStepTest, CheckpointsDoNotDependOnTheThreadCount) {
+  const Trace trace = ParallelFleet();
+  const int sampled[] = {1441, 1700, 1950, 2250, 2879};
+  for (const ParallelCase& c : kParallelCases) {
+    SCOPED_TRACE(std::to_string(c.nodes) + " nodes");
+    std::vector<std::string> serial;
+    for (int threads : kParallelThreads) {
+      SCOPED_TRACE("step_threads " + std::to_string(threads));
+      ClusterSession session = OpenParallelSession(trace, c, threads);
+      for (size_t i = 0; i < std::size(sampled); ++i) {
+        ASSERT_TRUE(session.RunUntil(sampled[i]).ok());
+        const std::string bytes = CheckpointBytes(session);
+        if (threads == 1) {
+          serial.push_back(bytes);
+        } else {
+          EXPECT_EQ(bytes, serial[i]) << "minute " << sampled[i];
+        }
+      }
+    }
+
+    // Saved at one thread, restored at four: the resumed run lands on
+    // the uninterrupted one.
+    ClusterSession saved = OpenParallelSession(trace, c, 1);
+    ASSERT_TRUE(saved.RunUntil(2000).ok());
+    const std::string bytes =
+        SerializeClusterCheckpoint(saved.Checkpoint().ValueOrDie());
+    ClusterSession resumed = OpenParallelSession(trace, c, 4);
+    ASSERT_TRUE(
+        resumed.Restore(ParseClusterCheckpoint(bytes).ValueOrDie()).ok());
+    ClusterSession uninterrupted = OpenParallelSession(trace, c, 4);
+    ExpectSameCluster(uninterrupted.Finish().ValueOrDie(),
+                      resumed.Finish().ValueOrDie());
+  }
+}
+
+TEST(ClusterParallelStepTest, NegativeStepThreadsAreRejected) {
+  SimOptions options;
+  options.step_threads = -1;
+  const Status status = ValidateSimOptions(options);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("step_threads"), std::string::npos);
+
+  const Trace trace = MakeFleet({1, 2}, 30);
+  options.train_minutes = 0;
+  const Result<ClusterSession> session = ClusterSession::Create(
+      trace, ClusterSpec{}, {"fixed_keepalive", {}}, options);
+  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------

@@ -589,46 +589,52 @@ TEST(GoldenMetricsTest, LatencyEnabledChainReproducesGoldenValues) {
 }
 
 TEST(GoldenMetricsTest, LatencyEnabledFourNodeClusterReproducesGoldenValues) {
-  const ScenarioOutcome run = RunScenario(LatencyClusterSpec()).ValueOrDie();
-  EXPECT_EQ(run.outcome.metrics.total_invocations, 1031468u);
-  EXPECT_EQ(run.outcome.metrics.total_cold_starts, 1556u);
-  ASSERT_NE(run.cluster, nullptr);
-  EXPECT_EQ(run.cluster->reroutes, 0u);
+  // The same pins hold with the node phase serial and fanned out.
+  for (const int step_threads : {1, 4}) {
+    SCOPED_TRACE("step_threads " + std::to_string(step_threads));
+    ScenarioSpec spec = LatencyClusterSpec();
+    spec.options.step_threads = step_threads;
+    const ScenarioOutcome run = RunScenario(spec).ValueOrDie();
+    EXPECT_EQ(run.outcome.metrics.total_invocations, 1031468u);
+    EXPECT_EQ(run.outcome.metrics.total_cold_starts, 1556u);
+    ASSERT_NE(run.cluster, nullptr);
+    EXPECT_EQ(run.cluster->reroutes, 0u);
 
-  // Fleet summary: per-node queues see only their routed quarter of the
-  // load, so far fewer requests time out than in the single-lane run.
-  ASSERT_NE(run.outcome.latency, nullptr);
-  const LatencyOutcome& fleet = *run.outcome.latency;
-  EXPECT_EQ(fleet.offered(), 1031468u);
-  EXPECT_EQ(fleet.served, 1030521u);
-  EXPECT_EQ(fleet.cold_served, 1554u);
-  EXPECT_EQ(fleet.timeouts, 947u);
-  EXPECT_EQ(fleet.shed, 0u);
-  EXPECT_DOUBLE_EQ(fleet.p50_ms, 40.448);
-  EXPECT_DOUBLE_EQ(fleet.p95_ms, 76.799999999999997);
-  EXPECT_DOUBLE_EQ(fleet.p99_ms, 105.47199999999999);
-  EXPECT_DOUBLE_EQ(fleet.max_ms, 4013.0100000000002);
-  EXPECT_EQ(fleet.max_queue_depth, 1u);
+    // Fleet summary: per-node queues see only their routed quarter of the
+    // load, so far fewer requests time out than in the single-lane run.
+    ASSERT_NE(run.outcome.latency, nullptr);
+    const LatencyOutcome& fleet = *run.outcome.latency;
+    EXPECT_EQ(fleet.offered(), 1031468u);
+    EXPECT_EQ(fleet.served, 1030521u);
+    EXPECT_EQ(fleet.cold_served, 1554u);
+    EXPECT_EQ(fleet.timeouts, 947u);
+    EXPECT_EQ(fleet.shed, 0u);
+    EXPECT_DOUBLE_EQ(fleet.p50_ms, 40.448);
+    EXPECT_DOUBLE_EQ(fleet.p95_ms, 76.799999999999997);
+    EXPECT_DOUBLE_EQ(fleet.p99_ms, 105.47199999999999);
+    EXPECT_DOUBLE_EQ(fleet.max_ms, 4013.0100000000002);
+    EXPECT_EQ(fleet.max_queue_depth, 1u);
 
-  // Per-node breakdown: the hash split concentrates the burst's queueing
-  // damage (node 1 pays 577 of the 947 timeouts).
-  ASSERT_EQ(run.cluster->nodes.size(), 4u);
-  const uint64_t node_served[] = {252104u, 294951u, 230800u, 252666u};
-  const uint64_t node_timeouts[] = {100u, 577u, 174u, 96u};
-  const uint64_t node_cold_served[] = {192u, 802u, 417u, 143u};
-  uint64_t served_sum = 0, timeout_sum = 0;
-  for (size_t k = 0; k < 4; ++k) {
-    const NodeOutcome& node = run.cluster->nodes[k];
-    ASSERT_NE(node.sim.latency, nullptr) << k;
-    EXPECT_EQ(node.sim.latency->served, node_served[k]) << k;
-    EXPECT_EQ(node.sim.latency->timeouts, node_timeouts[k]) << k;
-    EXPECT_EQ(node.sim.latency->cold_served, node_cold_served[k]) << k;
-    EXPECT_EQ(node.sim.latency->shed, 0u) << k;
-    served_sum += node.sim.latency->served;
-    timeout_sum += node.sim.latency->timeouts;
+    // Per-node breakdown: the hash split concentrates the burst's queueing
+    // damage (node 1 pays 577 of the 947 timeouts).
+    ASSERT_EQ(run.cluster->nodes.size(), 4u);
+    const uint64_t node_served[] = {252104u, 294951u, 230800u, 252666u};
+    const uint64_t node_timeouts[] = {100u, 577u, 174u, 96u};
+    const uint64_t node_cold_served[] = {192u, 802u, 417u, 143u};
+    uint64_t served_sum = 0, timeout_sum = 0;
+    for (size_t k = 0; k < 4; ++k) {
+      const NodeOutcome& node = run.cluster->nodes[k];
+      ASSERT_NE(node.sim.latency, nullptr) << k;
+      EXPECT_EQ(node.sim.latency->served, node_served[k]) << k;
+      EXPECT_EQ(node.sim.latency->timeouts, node_timeouts[k]) << k;
+      EXPECT_EQ(node.sim.latency->cold_served, node_cold_served[k]) << k;
+      EXPECT_EQ(node.sim.latency->shed, 0u) << k;
+      served_sum += node.sim.latency->served;
+      timeout_sum += node.sim.latency->timeouts;
+    }
+    EXPECT_EQ(served_sum, fleet.served);
+    EXPECT_EQ(timeout_sum, fleet.timeouts);
   }
-  EXPECT_EQ(served_sum, fleet.served);
-  EXPECT_EQ(timeout_sum, fleet.timeouts);
 }
 
 TEST(GoldenMetricsTest, LatencySuiteIsBitwiseDeterministicAcrossThreads) {
@@ -813,41 +819,46 @@ TEST(GoldenMetricsTest, RecorderAttachedFourNodeClusterMatchesGoldensBitwise) {
   const ScenarioOutcome plain =
       RunScenario(fleet, GoldenClusterSpec(4)).ValueOrDie();
 
-  StringLogSink sink;
-  RunRecorder recorder(&sink);
-  ScenarioSpec spec = GoldenClusterSpec(4);
-  spec.options.recorder = &recorder;
-  const ScenarioOutcome recorded = RunScenario(fleet, spec).ValueOrDie();
-  recorder.Finish();
+  // Recorded at a serial and at a fanned-out node phase.
+  for (const int step_threads : {1, 4}) {
+    SCOPED_TRACE("step_threads " + std::to_string(step_threads));
+    StringLogSink sink;
+    RunRecorder recorder(&sink);
+    ScenarioSpec spec = GoldenClusterSpec(4);
+    spec.options.recorder = &recorder;
+    spec.options.step_threads = step_threads;
+    const ScenarioOutcome recorded = RunScenario(fleet, spec).ValueOrDie();
+    recorder.Finish();
 
-  ExpectBitwiseIdenticalBehaviour(plain.outcome, recorded.outcome);
-  EXPECT_EQ(recorded.outcome.metrics.total_cold_starts, 1535u);
-  EXPECT_EQ(SeriesSum(recorded.outcome.memory_series), 706610u);
-  ASSERT_NE(recorded.cluster, nullptr);
-  ASSERT_EQ(recorded.cluster->nodes.size(), 4u);
-  const uint64_t node_cold_starts[] = {190u, 796u, 413u, 136u};
-  for (size_t k = 0; k < 4; ++k) {
-    EXPECT_EQ(recorded.cluster->nodes[k].sim.metrics.total_cold_starts,
-              node_cold_starts[k])
-        << k;
-    ExpectBitwiseIdenticalBehaviour(plain.cluster->nodes[k].sim,
-                                    recorded.cluster->nodes[k].sim);
-  }
+    ExpectBitwiseIdenticalBehaviour(plain.outcome, recorded.outcome);
+    EXPECT_EQ(recorded.outcome.metrics.total_cold_starts, 1535u);
+    EXPECT_EQ(SeriesSum(recorded.outcome.memory_series), 706610u);
+    ASSERT_NE(recorded.cluster, nullptr);
+    ASSERT_EQ(recorded.cluster->nodes.size(), 4u);
+    const uint64_t node_cold_starts[] = {190u, 796u, 413u, 136u};
+    for (size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(recorded.cluster->nodes[k].sim.metrics.total_cold_starts,
+                node_cold_starts[k])
+          << k;
+      ExpectBitwiseIdenticalBehaviour(plain.cluster->nodes[k].sim,
+                                      recorded.cluster->nodes[k].sim);
+    }
 
-  // Node heartbeats ride the lane field: every node reports, and each
-  // node's final sample matches its pinned per-node counters.
-  const ParsedRunLog log = ParseRunLog(sink.contents()).ValueOrDie();
-  EXPECT_TRUE(log.saw_run_end);
-  EXPECT_GE(log.spans.size(), 1u);
-  uint64_t node_finals[4] = {0, 0, 0, 0};
-  for (const HeartbeatRecord& hb : log.heartbeats) {
-    ASSERT_GE(hb.lane, 0);
-    ASSERT_LT(hb.lane, 4);
-    node_finals[hb.lane] =
-        std::max<uint64_t>(node_finals[hb.lane], hb.cold_starts);
-  }
-  for (size_t k = 0; k < 4; ++k) {
-    EXPECT_EQ(node_finals[k], node_cold_starts[k]) << k;
+    // Node heartbeats ride the lane field: every node reports, and each
+    // node's final sample matches its pinned per-node counters.
+    const ParsedRunLog log = ParseRunLog(sink.contents()).ValueOrDie();
+    EXPECT_TRUE(log.saw_run_end);
+    EXPECT_GE(log.spans.size(), 1u);
+    uint64_t node_finals[4] = {0, 0, 0, 0};
+    for (const HeartbeatRecord& hb : log.heartbeats) {
+      ASSERT_GE(hb.lane, 0);
+      ASSERT_LT(hb.lane, 4);
+      node_finals[hb.lane] =
+          std::max<uint64_t>(node_finals[hb.lane], hb.cold_starts);
+    }
+    for (size_t k = 0; k < 4; ++k) {
+      EXPECT_EQ(node_finals[k], node_cold_starts[k]) << k;
+    }
   }
 }
 

@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/binary_io.h"
+#include "common/rng.h"
 #include "core/policy_registry.h"
 #include "latency/latency_model.h"
 #include "latency/queue.h"
@@ -87,6 +90,56 @@ TEST(LatencyModelRegistryTest, LognormalSigmaZeroDegeneratesToMedians) {
                          .ValueOrDie();
   EXPECT_EQ(model->SampleMs(true, 1), 900.0);
   EXPECT_EQ(model->SampleMs(false, 2), 9.0);
+}
+
+TEST(LatencyModelRegistryTest, LognormalMatchesTheRngNormalDrawBitwise) {
+  // SampleMs draws only the cosine half of the Box-Muller pair; it must
+  // equal median * exp(sigma * Rng(key').Normal(0, 1)) bit for bit, where
+  // key' is the key, salted for cold draws.
+  constexpr uint64_t kColdDrawSalt = 0xc01d5742a5a1f00dULL;
+  struct Shape {
+    double cold_median, cold_sigma, warm_median, warm_sigma;
+  };
+  const Shape shapes[] = {
+      {800.0, 0.5, 8.0, 0.3},
+      {1234.5, 2.0, 40.0, 0.4},
+      {3.0, 7.9, 0.25, 0.01},
+  };
+  std::vector<std::unique_ptr<LatencyModel>> models;
+  for (const Shape& shape : shapes) {
+    LatencyModelSpec spec{"lognormal", {}};
+    spec.params["cold_median_ms"] = ParamValue(shape.cold_median);
+    spec.params["cold_sigma"] = ParamValue(shape.cold_sigma);
+    spec.params["warm_median_ms"] = ParamValue(shape.warm_median);
+    spec.params["warm_sigma"] = ParamValue(shape.warm_sigma);
+    models.push_back(LatencyModelRegistry::Global().Create(spec).ValueOrDie());
+  }
+  const auto reference = [](uint64_t seed, double median, double sigma) {
+    Rng rng(seed);
+    return median * std::exp(sigma * rng.Normal(0.0, 1.0));
+  };
+  uint64_t state = 7;
+  uint64_t mismatches = 0;
+  constexpr uint64_t kKeys = 1'000'000;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    // Small keys first, then hashed ones like the engine's request keys.
+    const uint64_t key = i < 1000 ? i : SplitMix64(&state);
+    const size_t m = static_cast<size_t>(i % 3);
+    const Shape& shape = shapes[m];
+    const double cold = models[m]->SampleMs(true, key);
+    const double warm = models[m]->SampleMs(false, key);
+    const double want_cold =
+        reference(key ^ kColdDrawSalt, shape.cold_median, shape.cold_sigma);
+    const double want_warm =
+        reference(key, shape.warm_median, shape.warm_sigma);
+    if (std::bit_cast<uint64_t>(cold) != std::bit_cast<uint64_t>(want_cold)) {
+      ++mismatches;
+    }
+    if (std::bit_cast<uint64_t>(warm) != std::bit_cast<uint64_t>(want_warm)) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(LatencyModelRegistryTest, UnknownModelListsAlternatives) {
