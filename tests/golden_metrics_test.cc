@@ -473,6 +473,17 @@ TEST(GoldenMetricsTest, NodeFailEventReroutesWithColdStartConsequences) {
   for (size_t i = 3360 - 2880; i < failed.sim.memory_series.size(); ++i) {
     EXPECT_EQ(failed.sim.memory_series[i], 0u) << i;
   }
+  // The minutes the failed node held instances before it died stay in
+  // its accounts.
+  EXPECT_EQ(failed.sim.metrics.loaded_instance_minutes, 30133u);
+  EXPECT_EQ(failed.sim.metrics.wasted_memory_minutes, 24258u);
+  for (const NodeOutcome& node : run.cluster->nodes) {
+    uint64_t account_loaded = 0;
+    for (const FunctionAccount& account : node.sim.accounts) {
+      account_loaded += account.loaded_minutes;
+    }
+    EXPECT_EQ(account_loaded, SeriesSum(node.sim.memory_series)) << node.node;
+  }
   // Invocations are conserved: re-routing moves work, never drops it.
   EXPECT_EQ(run.outcome.metrics.total_invocations, 505234u);
 }
@@ -907,6 +918,116 @@ TEST(GoldenMetricsTest, RecorderAttachedCheckpointBytesMatchDisabledPath) {
   recorder.Finish();
   const ParsedRunLog log = ParseRunLog(sink.contents()).ValueOrDie();
   EXPECT_EQ(log.checkpoint_saves, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Wire-format pins: the serialized checkpoint bytes of each framing
+// (SPESCKPT v1 and v2, SPESCLCK) are pinned by length and FNV-1a-64
+// digest, with the wall-clock policy-step timers zeroed. Any change to
+// a field codec, a field order or a counter the engine keeps moves them.
+// ---------------------------------------------------------------------
+
+/// FNV-1a-64 over `bytes`.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+std::string StreamCheckpointBytes(const SimStream& stream) {
+  SimCheckpoint checkpoint = stream.Checkpoint().ValueOrDie();
+  for (SimCheckpoint::Lane& lane : checkpoint.lanes) {
+    lane.overhead_seconds = 0.0;
+  }
+  return SerializeCheckpoint(checkpoint);
+}
+
+/// A capped least_loaded cluster over the golden fleet with a latency
+/// block and a timeline that drains, fails and adds nodes.
+ClusterSession OpenPinnedCluster(const Trace& trace) {
+  ClusterSpec cluster;
+  cluster.nodes = 4;
+  cluster.node_capacity = 20;
+  cluster.router = {"least_loaded", {}};
+  cluster.events = ParseNodeEventTimeline(
+                       "drain{at=3000,node=0} | fail{at=3360,node=2} | "
+                       "add{at=3600}")
+                       .ValueOrDie();
+  SimOptions options = GoldenOptions();
+  options.latency = ParseLatencySpec(kLatencyBlock).ValueOrDie();
+  return ClusterSession::Create(trace, cluster, {"spes", {}}, options)
+      .ValueOrDie();
+}
+
+TEST(GoldenMetricsTest, CheckpointWireFormatIsPinned) {
+  const int midpoint = 3 * kMinutesPerDay;
+  {
+    // SPESCKPT v1: a fixed keep-alive stream over the golden fleet.
+    const Trace fleet = GoldenTrace();
+    FixedKeepAlivePolicy policy(10);
+    SimStream stream =
+        SimStream::Create(fleet, &policy, GoldenOptions()).ValueOrDie();
+    ASSERT_TRUE(stream.RunUntil(midpoint).ok());
+    const std::string bytes = StreamCheckpointBytes(stream);
+    EXPECT_EQ(bytes.substr(16, 4), std::string("\x01\0\0\0", 4));
+    EXPECT_EQ(bytes.size(), 12663u);
+    EXPECT_EQ(Fnv1a64(bytes), 4958757856534452612ull);
+  }
+  {
+    // SPESCKPT v2: the latency chain appends one latency blob per lane.
+    const ScenarioSpec spec = LatencyChainSpec();
+    const Trace trace = RealizeTrace(spec.trace).ValueOrDie();
+    FixedKeepAlivePolicy policy(10);
+    SimStream stream =
+        SimStream::Create(trace, &policy, spec.options).ValueOrDie();
+    ASSERT_TRUE(stream.RunUntil(midpoint).ok());
+    const std::string bytes = StreamCheckpointBytes(stream);
+    EXPECT_EQ(bytes.substr(16, 4), std::string("\x02\0\0\0", 4));
+    EXPECT_EQ(bytes.size(), 15128u);
+    EXPECT_EQ(Fnv1a64(bytes), 10069405973681749801ull);
+  }
+  {
+    // SPESCLCK: after every event of the timeline has fired.
+    const Trace fleet = GoldenTrace();
+    ClusterSession session = OpenPinnedCluster(fleet);
+    ASSERT_TRUE(session.RunUntil(midpoint).ok());
+    ClusterCheckpoint checkpoint = session.Checkpoint().ValueOrDie();
+    for (ClusterCheckpoint::Node& node : checkpoint.nodes) {
+      node.overhead_seconds = 0.0;
+    }
+    const std::string bytes = SerializeClusterCheckpoint(checkpoint);
+    EXPECT_EQ(bytes.size(), 249184u);
+    EXPECT_EQ(Fnv1a64(bytes), 8552633701456019052ull);
+  }
+}
+
+TEST(GoldenMetricsTest, CappedClusterWithNodeTimelineReproducesGoldenValues) {
+  const Trace fleet = GoldenTrace();
+  ClusterSession session = OpenPinnedCluster(fleet);
+  const ClusterOutcome outcome = session.Finish().ValueOrDie();
+  ASSERT_EQ(outcome.nodes.size(), 5u);
+  const char* const states[] = {"draining", "routable", "failed", "routable",
+                                "routable"};
+  const uint64_t cold_starts[] = {56u, 6106u, 25u, 3543u, 460u};
+  const uint64_t loaded[] = {57600u, 58559u, 9600u, 57618u, 43200u};
+  const uint64_t wasted[] = {29004u, 6881u, 4031u, 14512u, 41999u};
+  const uint64_t evictions[] = {109741u, 136730u, 19172u, 125089u, 54406u};
+  for (size_t k = 0; k < 5; ++k) {
+    const NodeOutcome& node = outcome.nodes[k];
+    const FleetMetrics& m = node.sim.metrics;
+    EXPECT_EQ(node.final_state, states[k]) << k;
+    EXPECT_EQ(m.total_cold_starts, cold_starts[k]) << k;
+    EXPECT_EQ(m.loaded_instance_minutes, loaded[k]) << k;
+    EXPECT_EQ(m.wasted_memory_minutes, wasted[k]) << k;
+    EXPECT_EQ(node.pressure_evictions, evictions[k]) << k;
+    EXPECT_EQ(SeriesSum(node.sim.memory_series), m.loaded_instance_minutes)
+        << k;
+  }
+  EXPECT_EQ(outcome.reroutes, 41u);
+  EXPECT_EQ(outcome.fleet.metrics.total_invocations, 505234u);
 }
 
 TEST(GoldenMetricsTest, BothPoliciesSeeTheSameWorkload) {
