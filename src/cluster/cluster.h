@@ -34,12 +34,12 @@
 #include <vector>
 
 #include "cluster/router.h"
-#include "common/fork_join.h"
 #include "common/status.h"
 #include "core/policy_registry.h"
 #include "sim/accounting.h"
 #include "sim/columnar.h"
 #include "sim/engine.h"
+#include "sim/lane.h"
 #include "sim/memset.h"
 #include "sim/observer.h"
 #include "sim/policy.h"
@@ -152,35 +152,20 @@ struct ClusterOutcome {
 /// consumed by ClusterSession::Restore();
 /// SerializeClusterCheckpoint()/ParseClusterCheckpoint() round-trip it
 /// through bytes ("SPESCLCK" magic).
-struct ClusterCheckpoint {
-  /// Next minute to simulate when resumed.
-  int cursor = 0;
-  /// The window the session was created with (validated on Restore).
-  int train_minutes = 0;
-  int end_minute = 0;
-  bool pin_executing_functions = true;
-  uint64_t num_functions = 0;
-  bool stopped = false;
+struct ClusterCheckpoint : CheckpointCursor {
   /// Routing state at the snapshot.
   uint64_t reroutes = 0;
   uint64_t event_index = 0;  ///< timeline events already applied
   std::vector<int32_t> assignment;  ///< sticky function->node; -1 = none
 
-  struct Node {
-    std::string policy_name;  ///< Policy::name(), validated on Restore
+  /// A node's lane state plus its cluster fields.
+  struct Node : LaneCheckpoint {
     /// Lifecycle state: 0 pending, 1 routable, 2 draining, 3 failed.
     uint8_t state = 1;
     int capacity = 0;  ///< structural; validated (not restored)
-    std::vector<FunctionAccount> accounts;
-    std::vector<uint32_t> memory_series;
-    std::vector<uint8_t> loaded;     ///< MemSet membership bytes
     std::vector<int32_t> last_used;  ///< LRU clock; -1 = never
-    LiveTotals totals;
-    double overhead_seconds = 0.0;
     uint64_t pressure_evictions = 0;
     uint64_t reroutes_in = 0;
-    std::string policy_state;   ///< Policy::SaveState() blob
-    std::string latency_state;  ///< LatencyLane::SaveState(); empty = none
   };
   std::vector<Node> nodes;
 };
@@ -198,11 +183,12 @@ Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes);
 /// trace prefix, builds the router, and positions the cursor at the
 /// first simulated minute. The trace and observers are borrowed and must
 /// outlive the session. Not thread-safe: callers still drive each session
-/// from one thread. Internally each Step() fans the per-node work out
-/// over up to SimOptions::step_threads threads and joins before it
+/// from one thread. Each node is an engine lane (sim/lane.h): a minute
+/// routes the shared decode on the calling thread, then steps the nodes
+/// on up to SimOptions::step_threads threads and joins before Step()
 /// returns; outcomes, checkpoints and observer calls do not depend on
 /// the thread count.
-class ClusterSession {
+class ClusterSession : public LaneSession {
  public:
   static Result<ClusterSession> Create(const Trace& trace,
                                        const ClusterSpec& cluster,
@@ -220,36 +206,14 @@ class ClusterSession {
                                        const PolicySpec& policy,
                                        const SimOptions& options);
 
-  /// \brief Attaches a per-minute observer (borrowed). Observers see one
-  /// MinuteView per *live* node per minute, with MinuteView::lane equal
-  /// to the node id; StreamInfo::num_lanes is the total node-id space
-  /// (initial nodes plus scheduled adds). Returning false stops the
-  /// session after the current minute, exactly as on a SimStream.
-  void AddObserver(SimObserver* observer);
+  // Observers (LaneSession::AddObserver) see one MinuteView per *live*
+  // node per minute, with MinuteView::lane equal to the node id;
+  // StreamInfo::num_lanes is the total node-id space (initial nodes plus
+  // scheduled adds). Returning false stops the session after the current
+  // minute, exactly as on a SimStream.
 
-  /// \name Cursor state
-  /// @{
-  [[nodiscard]] int cursor() const { return cursor_; }       ///< next minute to run
-  [[nodiscard]] int start_minute() const { return start_; }  ///< == train_minutes
-  [[nodiscard]] int end_minute() const { return end_; }      ///< resolved end
   /// Total node-id space: initial nodes plus scheduled add events.
   [[nodiscard]] size_t num_nodes() const { return nodes_.size(); }
-  [[nodiscard]] const Policy* policy(size_t node) const { return nodes_[node].policy.get(); }
-  /// Minutes decoded so far: one arrival decode serves every node.
-  [[nodiscard]] int64_t minutes_decoded() const { return minutes_decoded_; }
-  [[nodiscard]] bool done() const { return finished_ || stopped_ || cursor_ >= end_; }
-  [[nodiscard]] bool stopped_early() const { return stopped_; }
-  /// @}
-
-  /// \brief Simulates one minute across all live nodes. Cancelled once
-  /// the session was stopped early by an observer, OutOfRange once it is
-  /// exhausted or consumed by Finish().
-  Status Step();
-
-  /// \brief Steps until the cursor reaches min(minute, end_minute()).
-  /// Cancelled when an observer stop halts the session short of the
-  /// target, matching Step(); OutOfRange once consumed by Finish().
-  Status RunUntil(int minute);
 
   /// \brief Runs to the end of the window (unless already stopped) and
   /// returns the aggregated + per-node outcome, consuming the session.
@@ -264,8 +228,9 @@ class ClusterSession {
   /// \brief Rewinds/forwards this session to `checkpoint`. The session
   /// must have been created over the same trace, window, cluster spec and
   /// policy as the checkpoint's origin (validated field by field,
-  /// InvalidArgument naming the mismatch). On a non-OK Restore the
-  /// session may hold a mix of old and new state — discard it.
+  /// InvalidArgument naming the mismatch). A failed restore (a corrupt
+  /// policy or latency blob included) leaves the session exactly as it
+  /// was.
   Status Restore(const ClusterCheckpoint& checkpoint);
 
  private:
@@ -276,27 +241,18 @@ class ClusterSession {
     kFailed,    ///< gone; memory lost
   };
 
+  /// The cluster fields of node k; its engine state is lanes_[k]. A
+  /// failed node's latency queue keeps draining — admitted requests
+  /// complete even if the node dies later in the window.
   struct Node {
-    std::unique_ptr<Policy> policy;
+    std::unique_ptr<Policy> policy;  ///< lanes_[k].policy points here
     NodeState state = NodeState::kRoutable;
     int capacity = 0;  ///< 0 = uncapped
-    MemSet mem{0};
-    std::vector<FunctionAccount> accounts;
-    std::vector<uint32_t> memory_series;
     std::vector<int32_t> last_used;  ///< minute f last arrived here; -1 never
-    LiveTotals totals;
-    double overhead_seconds = 0.0;
     uint64_t pressure_evictions = 0;
     uint64_t reroutes_in = 0;
     /// This minute's arrivals routed here (scratch, rebuilt per minute).
     std::vector<Invocation> arrivals;
-    /// Per-node latency/queue state when SimOptions.latency is set; null
-    /// (and the latency path untouched) otherwise. A failed node's queue
-    /// keeps draining — admitted requests complete even if the node dies
-    /// later in the window.
-    std::unique_ptr<LatencyLane> latency;
-    /// Scratch: per-arrival cold flags for the latency path.
-    std::vector<uint8_t> cold_flags;
     /// Scratch: (last use, id) eviction candidates of EnforceCapacity.
     std::vector<std::pair<int32_t, uint32_t>> evict_candidates;
   };
@@ -315,7 +271,7 @@ class ClusterSession {
                                            const PolicySpec& policy,
                                            const SimOptions& options);
 
-  [[nodiscard]] bool NodeLive(const Node& node) const {
+  [[nodiscard]] static bool NodeLive(const Node& node) {
     return node.state == NodeState::kRoutable ||
            node.state == NodeState::kDraining;
   }
@@ -323,37 +279,21 @@ class ClusterSession {
   /// Applies every event scheduled at or before minute `t`.
   void ApplyEvents(int t);
 
-  /// Delivers OnStreamStart exactly once, before any other callback.
-  void EnsureStarted();
+  /// Phase 1: events, then routing of the shared decode onto the nodes.
+  /// Internal on a router that returns an unroutable node.
+  Status RouteMinute(int t) override;
 
-  /// One simulated minute in three phases: events, the shared decode and
-  /// routing on the calling thread; then StepNode for every node, fanned
-  /// out over the pool; then, back on the calling thread and in node
-  /// order, observers and recorder heartbeats. Internal on a router that
-  /// returns an unroutable node.
-  Status StepLocked();
+  /// Phase 2 for node k: StepLane over its routed arrivals with the
+  /// capacity trim as the eviction hook, or the latency drain of a dead
+  /// node.
+  void StepLaneAt(size_t k, int t) override;
 
-  /// The per-node phase of minute `t`: cold/pin accounting, the policy
-  /// step, capacity pressure, residency and the latency lane of a live
-  /// node, or the latency drain of a dead one. Touches only `node` and
-  /// read-only session state, so nodes may run concurrently.
-  void StepNode(Node* node, int t) const;
+  /// Phase 3 reports live nodes only.
+  const std::vector<Invocation>* ReportedArrivals(size_t k) const override;
 
-  /// Evicts idle instances in LRU order until `node` fits its capacity.
-  void EnforceCapacity(Node* node, int t) const;
+  /// Evicts idle instances in LRU order until node k fits its capacity.
+  void EnforceCapacity(size_t k, int t);
 
-  /// The in-memory adapter when created from a Trace; null for borrowed
-  /// sources. Heap-allocated so source_ stays stable across moves.
-  std::unique_ptr<TraceSource> owned_source_;
-  TraceSource* source_;
-  SimOptions options_;
-  int start_;
-  int end_;
-  int cursor_;
-  bool started_ = false;
-  bool stopped_ = false;
-  bool finished_ = false;
-  int64_t minutes_decoded_ = 0;
   uint64_t reroutes_ = 0;
   std::unique_ptr<Router> router_;
   std::vector<Node> nodes_;
@@ -361,29 +301,8 @@ class ClusterSession {
   size_t event_index_ = 0;
   /// Sticky function->node assignment; -1 = unassigned.
   std::vector<int32_t> assignment_;
-  std::vector<SimObserver*> observers_;
-
-  /// Block-transposed minute-major decode shared by every node.
-  ArrivalDecoder decoder_;
-
-  // Per-minute scratch, reused across steps.
-  std::vector<Invocation> arrivals_;
+  /// Per-minute routing scratch, reused across steps.
   std::vector<NodeView> views_;
-
-  /// Per-request sampling keys shared by every node's latency lane; null
-  /// when the latency subsystem is disabled.
-  std::shared_ptr<const std::vector<uint64_t>> latency_hashes_;
-
-  /// Participants in the per-node phase, resolved from
-  /// SimOptions::step_threads; 1 runs it serially on the calling thread.
-  int step_threads_ = 1;
-  /// Workers for the per-node phase: started by the first Step() when
-  /// step_threads_ > 1, joined by Finish() or destruction.
-  std::unique_ptr<ForkJoinPool> pool_;
-
-  /// Open "simulate" span token when SimOptions.recorder is set; closed
-  /// by Finish(). Observability only — never feeds sim state.
-  uint64_t simulate_span_ = 0;
 };
 
 }  // namespace spes

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/binary_io.h"
-#include "obs/clock.h"
 #include "obs/recorder.h"
 
 namespace spes {
@@ -43,32 +42,14 @@ Status ValidateStreamPolicies(const std::vector<Policy*>& policies) {
   return Status::OK();
 }
 
-/// Validates the options against `horizon` and resolves the end minute.
-Result<int> ResolveStreamWindow(int horizon, const SimOptions& options) {
-  SPES_RETURN_NOT_OK(ValidateSimOptions(options));
-  if (options.train_minutes > horizon) {
-    return Status::InvalidArgument(
-        "SimOptions.train_minutes (=" + std::to_string(options.train_minutes) +
-        ") exceeds the trace horizon (=" + std::to_string(horizon) +
-        " minutes)");
-  }
-  // end_minute == 0 means the trace horizon; a larger request clamps to it
-  // (a policy cannot be replayed past the recorded trace).
-  return options.end_minute > 0 ? std::min(options.end_minute, horizon)
-                                : horizon;
-}
-
 }  // namespace
+
+/// The words that name a stream in error messages.
+constexpr LaneSession::Names kStreamNames{"SimStream", "stream", "lane"};
 
 SimStream::SimStream(TraceSource* source, std::unique_ptr<TraceSource> owned,
                      const SimOptions& options, int end)
-    : owned_source_(std::move(owned)),
-      source_(source),
-      options_(options),
-      start_(options.train_minutes),
-      end_(end),
-      cursor_(options.train_minutes),
-      decoder_(source) {}
+    : LaneSession(kStreamNames, source, std::move(owned), options, end) {}
 
 Result<SimStream> SimStream::Create(const Trace& trace, Policy* policy,
                                     const SimOptions& options) {
@@ -83,275 +64,58 @@ Result<SimStream> SimStream::Create(TraceSource& source, Policy* policy,
 Result<SimStream> SimStream::Create(const Trace& trace,
                                     std::vector<Policy*> policies,
                                     const SimOptions& options) {
-  SPES_RETURN_NOT_OK(ValidateStreamPolicies(policies));
-  SPES_ASSIGN_OR_RETURN(const int end,
-                        ResolveStreamWindow(trace.num_minutes(), options));
-
   auto owned = std::make_unique<InMemoryTraceSource>(trace);
   TraceSource* source = owned.get();
-  SimStream stream(source, std::move(owned), options, end);
-  const size_t n = trace.num_functions();
-  stream.lanes_.reserve(policies.size());
-  for (Policy* policy : policies) {
-    const ScopedSpan span(options.recorder, "train", options.recorder_slot,
-                          static_cast<int>(stream.lanes_.size()),
-                          policy->name());
-    // In-memory streams train on the real full trace, so policies that
-    // peek past the train window (the oracle) keep their exact behaviour.
-    policy->Train(trace, options.train_minutes);
-    Lane lane;
-    lane.policy = policy;
-    lane.mem = MemSet(n);
-    lane.cols.Reset(n);
-    lane.memory_series.reserve(static_cast<size_t>(end -
-                                                   options.train_minutes));
-    stream.lanes_.push_back(std::move(lane));
-  }
-  SPES_RETURN_NOT_OK(stream.EnableLatency());
-  return stream;
+  return CreateImpl(source, std::move(owned), &trace, std::move(policies),
+                    options);
 }
 
 Result<SimStream> SimStream::Create(TraceSource& source,
                                     std::vector<Policy*> policies,
                                     const SimOptions& options) {
-  SPES_RETURN_NOT_OK(ValidateStreamPolicies(policies));
-  for (size_t i = 0; i < policies.size(); ++i) {
-    if (policies[i]->RequiresFullTrace()) {
-      return Status::InvalidArgument(
-          "policy '" + policies[i]->name() + "'" +
-          (policies.size() == 1 ? std::string()
-                                : " (lane " + std::to_string(i) + ")") +
-          " requires the full realized trace, but a streamed source only "
-          "materializes the train prefix; run it over an in-memory Trace");
-    }
-  }
-  SPES_ASSIGN_OR_RETURN(const int end,
-                        ResolveStreamWindow(source.num_minutes(), options));
-  // Policies train on a materialized prefix — exactly the minutes the
-  // Train() contract allows them to observe — shared across lanes.
-  SPES_ASSIGN_OR_RETURN(const Trace train_prefix,
-                        source.MaterializePrefix(options.train_minutes));
+  return CreateImpl(&source, nullptr, /*full_trace=*/nullptr,
+                    std::move(policies), options);
+}
 
-  SimStream stream(&source, nullptr, options, end);
-  const size_t n = source.num_functions();
+Result<SimStream> SimStream::CreateImpl(TraceSource* source,
+                                        std::unique_ptr<TraceSource> owned,
+                                        const Trace* full_trace,
+                                        std::vector<Policy*> policies,
+                                        const SimOptions& options) {
+  SPES_RETURN_NOT_OK(ValidateStreamPolicies(policies));
+  SPES_ASSIGN_OR_RETURN(const int end,
+                        ResolveWindow(source->num_minutes(), options));
+  // Streamed sources train on a materialized prefix — exactly the minutes
+  // the Train() contract allows them to observe — shared across lanes.
+  // In-memory streams train on the real full trace, so policies that peek
+  // past the train window (the oracle) keep their exact behaviour.
+  Trace train_prefix;
+  if (full_trace == nullptr) {
+    SPES_ASSIGN_OR_RETURN(train_prefix,
+                          source->MaterializePrefix(options.train_minutes));
+  }
+  const Trace& training = full_trace != nullptr ? *full_trace : train_prefix;
+
+  SimStream stream(source, std::move(owned), options, end);
   stream.lanes_.reserve(policies.size());
   for (Policy* policy : policies) {
-    const ScopedSpan span(options.recorder, "train", options.recorder_slot,
-                          static_cast<int>(stream.lanes_.size()),
-                          policy->name());
-    policy->Train(train_prefix, options.train_minutes);
-    Lane lane;
-    lane.policy = policy;
-    lane.mem = MemSet(n);
-    lane.cols.Reset(n);
-    lane.memory_series.reserve(static_cast<size_t>(end -
-                                                   options.train_minutes));
-    stream.lanes_.push_back(std::move(lane));
+    SPES_RETURN_NOT_OK(
+        stream.AddLane(policy, training, /*streamed=*/full_trace == nullptr));
   }
-  SPES_RETURN_NOT_OK(stream.EnableLatency());
+  SPES_RETURN_NOT_OK(stream.FinishCreate(
+      policies.size() == 1
+          ? policies[0]->name()
+          : std::to_string(policies.size()) + " lockstep lanes"));
   return stream;
 }
 
-Status SimStream::EnableLatency() {
-  if (!options_.latency.has_value()) return Status::OK();
-  const LatencySpec& spec = *options_.latency;
-  // One shared hash table: the keys depend only on function names and the
-  // latency seed, so lockstep lanes (and a cluster's nodes) sample
-  // identical per-request streams regardless of placement.
-  latency_hashes_ = std::make_shared<const std::vector<uint64_t>>(
-      ComputeFunctionHashes(*source_, spec.seed));
-  for (Lane& lane : lanes_) {
-    SPES_ASSIGN_OR_RETURN(lane.latency,
-                          CreateLatencyLane(spec, latency_hashes_));
-  }
-  return Status::OK();
+void SimStream::StepLaneAt(size_t k, int t) {
+  StepLane(lanes_[k], t, arrivals_, options_.pin_executing_functions);
 }
 
-void SimStream::AddObserver(SimObserver* observer) {
-  if (observer != nullptr) observers_.push_back(observer);
-}
-
-Status SimStream::StepLocked() {
-  const int t = cursor_;
-
-  // Decode this minute's arrivals ONCE; every lane shares the decode. The
-  // decoder transposes a whole block of minutes at a time, so this is
-  // O(arrivals) amortized; the copy feeds the vector-taking Policy API.
-  // A failed decode (corrupt/vanished disk block) aborts the step before
-  // any lane state changes, so the cursor stays consistent.
-  const std::span<const Invocation> decoded = decoder_.Decode(t);
-  SPES_RETURN_NOT_OK(decoder_.status());
-  arrivals_.assign(decoded.begin(), decoded.end());
-  ++minutes_decoded_;
-
-  bool stop_requested = false;
-  for (size_t lane_index = 0; lane_index < lanes_.size(); ++lane_index) {
-    Lane& lane = lanes_[lane_index];
-    LaneColumns& cols = lane.cols;
-
-    // 1-2. Cold-start accounting, then execution pins the instance. The
-    // latency variant additionally records which arrivals were cold (the
-    // flags feed LatencyLane::OnMinute below); the plain variant is the
-    // original loop, untouched so disabled runs stay byte-identical.
-    if (lane.latency == nullptr) {
-      for (const Invocation& inv : arrivals_) {
-        cols.invocations[inv.function] += inv.count;
-        cols.invoked_minutes[inv.function] += 1;
-        lane.totals.invocations += inv.count;
-        if (!lane.mem.Contains(inv.function)) {
-          cols.cold_starts[inv.function] += 1;
-          lane.totals.cold_starts += 1;
-        }
-        lane.mem.Add(inv.function);
-      }
-    } else {
-      cold_flags_.assign(arrivals_.size(), 0);
-      for (size_t i = 0; i < arrivals_.size(); ++i) {
-        const Invocation& inv = arrivals_[i];
-        cols.invocations[inv.function] += inv.count;
-        cols.invoked_minutes[inv.function] += 1;
-        lane.totals.invocations += inv.count;
-        if (!lane.mem.Contains(inv.function)) {
-          cols.cold_starts[inv.function] += 1;
-          lane.totals.cold_starts += 1;
-          cold_flags_[i] = 1;
-        }
-        lane.mem.Add(inv.function);
-      }
-    }
-
-    // 3. Policy step (timed for the RQ2 overhead measurement; the
-    // monotonic clock lives in obs/clock so the linter can confine it).
-    const double start = MonotonicSeconds();
-    lane.policy->OnMinute(t, arrivals_, &lane.mem);
-    lane.overhead_seconds += MonotonicSeconds() - start;
-
-    if (options_.pin_executing_functions) {
-      for (const Invocation& inv : arrivals_) lane.mem.Add(inv.function);
-    }
-
-    // 4. Residency accounting: a word-at-a-time bitset diff opens/closes
-    // residency intervals, live totals come from the maintained popcount,
-    // and the wasted count follows from the arrivals that are loaded at
-    // this sample. Equivalent to the per-function scan, minute by minute.
-    cols.AccrueResidency(t, lane.mem);
-    const uint64_t live = lane.mem.Count();
-    lane.totals.loaded_instance_minutes += live;
-    uint64_t invoked_loaded_now = 0;
-    for (const Invocation& inv : arrivals_) {
-      if (lane.mem.Contains(inv.function)) {
-        cols.invoked_loaded_minutes[inv.function] += 1;
-        ++invoked_loaded_now;
-      }
-    }
-    lane.totals.wasted_memory_minutes += live - invoked_loaded_now;
-    lane.memory_series.push_back(static_cast<uint32_t>(live));
-
-    if (lane.latency != nullptr) {
-      lane.latency->OnMinute(t, arrivals_, cold_flags_);
-    }
-
-    if (!observers_.empty()) {
-      // Observers see the classic account view; materializing it per
-      // minute is the documented cost of attaching one.
-      cols.Materialize(t + 1, lane.mem, &lane.scratch_accounts);
-      MinuteView view;
-      view.minute = t;
-      view.lane = lane_index;
-      view.policy = lane.policy;
-      view.arrivals = &arrivals_;
-      view.mem = &lane.mem;
-      view.accounts = &lane.scratch_accounts;
-      view.memory_series = &lane.memory_series;
-      view.totals = lane.totals;
-      if (lane.latency != nullptr) view.latency = &lane.latency->live();
-      for (SimObserver* observer : observers_) {
-        if (!observer->OnMinute(view)) stop_requested = true;
-      }
-    }
-
-    if (options_.recorder != nullptr) {
-      // Strided heartbeat: sampled on simulated-minute boundaries (plus
-      // the final minute), so the recorded counters are a pure function
-      // of sim state — wall-clock speed never changes what is sampled.
-      const int stride = options_.recorder->heartbeat_minute_stride();
-      if ((t + 1 - start_) % stride == 0 || t + 1 == end_) {
-        RunRecorder::Heartbeat heartbeat;
-        heartbeat.slot = options_.recorder_slot;
-        heartbeat.lane = static_cast<int>(lane_index);
-        heartbeat.minute = t;
-        heartbeat.invocations = lane.totals.invocations;
-        heartbeat.cold_starts = lane.totals.cold_starts;
-        heartbeat.loaded_instance_minutes =
-            lane.totals.loaded_instance_minutes;
-        heartbeat.wasted_memory_minutes =
-            lane.totals.wasted_memory_minutes;
-        heartbeat.loaded_instances = static_cast<uint32_t>(lane.mem.Count());
-        if (lane.latency != nullptr) {
-          heartbeat.queue_depth = lane.latency->live().queue_depth;
-        }
-        options_.recorder->EmitHeartbeat(heartbeat);
-      }
-    }
-  }
-
-  ++cursor_;
-  if (stop_requested) stopped_ = true;
-  return Status::OK();
-}
-
-Status SimStream::Step() {
-  if (finished_) {
-    return Status::OutOfRange("SimStream was consumed by Finish()");
-  }
-  if (stopped_) {
-    return Status::Cancelled(
-        "SimStream was stopped early at minute (=" + std::to_string(cursor_) +
-        ")");
-  }
-  if (cursor_ >= end_) {
-    return Status::OutOfRange(
-        "SimStream is exhausted: cursor (=" + std::to_string(cursor_) +
-        ") reached end_minute (=" + std::to_string(end_) + ")");
-  }
-  EnsureStarted();
-  return StepLocked();
-}
-
-void SimStream::EnsureStarted() {
-  if (started_) return;
-  started_ = true;
-  if (options_.recorder != nullptr) {
-    simulate_span_ = options_.recorder->BeginSpan(
-        "simulate", options_.recorder_slot, 0,
-        lanes_.size() == 1
-            ? lanes_[0].policy->name()
-            : std::to_string(lanes_.size()) + " lockstep lanes");
-  }
-  StreamInfo info;
-  info.train_minutes = options_.train_minutes;
-  info.start_minute = start_;
-  info.end_minute = end_;
-  info.num_lanes = lanes_.size();
-  info.num_functions = source_->num_functions();
-  for (SimObserver* observer : observers_) observer->OnStreamStart(info);
-}
-
-Status SimStream::RunUntil(int minute) {
-  if (finished_) {
-    return Status::OutOfRange("SimStream was consumed by Finish()");
-  }
-  const int target = std::min(minute, end_);
-  while (cursor_ < target && !stopped_) {
-    SPES_RETURN_NOT_OK(Step());
-  }
-  if (stopped_ && cursor_ < target) {
-    // Same signal Step() gives: an early stop left the target unreached.
-    return Status::Cancelled(
-        "SimStream was stopped early at minute (=" + std::to_string(cursor_) +
-        ") before reaching minute (=" + std::to_string(target) + ")");
-  }
-  return Status::OK();
+const std::vector<Invocation>* SimStream::ReportedArrivals(size_t k) const {
+  (void)k;
+  return &arrivals_;
 }
 
 FleetMetrics SimStream::SnapshotMetrics(size_t lane_index) const {
@@ -363,42 +127,13 @@ FleetMetrics SimStream::SnapshotMetrics(size_t lane_index) const {
 }
 
 Result<std::vector<SimulationOutcome>> SimStream::FinishAll() {
-  if (finished_) {
-    return Status::OutOfRange("SimStream was already consumed by Finish()");
-  }
-  // Even a zero-step window (train == horizon, or a stream restored at
-  // its end) pairs OnStreamStart with OnStreamEnd, so observers always
-  // get their sizing hook before any other callback.
-  EnsureStarted();
-  // An early stop is a documented way to end a stream: Finish()/FinishAll()
-  // still deliver the partial-window outcome, so Cancelled is success here.
-  const Status run = RunToEnd();
-  if (!run.ok() && run.code() != StatusCode::kCancelled) return run;
-  finished_ = true;
-  if (options_.recorder != nullptr) {
-    options_.recorder->EndSpan(simulate_span_);
-    simulate_span_ = 0;
-    options_.recorder->DecoderEvent(options_.recorder_slot,
-                                    decoder_.blocks_decoded(),
-                                    decoder_.invocations_decoded());
-  }
+  SPES_RETURN_NOT_OK(RunToFinish());
   const ScopedSpan finish_span(options_.recorder, "finish",
                                options_.recorder_slot, 0);
   std::vector<SimulationOutcome> outcomes;
   outcomes.reserve(lanes_.size());
-  for (Lane& lane : lanes_) {
-    SimulationOutcome outcome;
-    lane.cols.Materialize(cursor_, lane.mem, &outcome.accounts);
-    outcome.metrics = ComputeFleetMetrics(lane.policy->name(),
-                                          outcome.accounts,
-                                          lane.memory_series,
-                                          lane.overhead_seconds);
-    outcome.memory_series = std::move(lane.memory_series);
-    if (lane.latency != nullptr) {
-      outcome.latency =
-          std::make_shared<const LatencyOutcome>(lane.latency->TakeOutcome());
-    }
-    outcomes.push_back(std::move(outcome));
+  for (size_t k = 0; k < lanes_.size(); ++k) {
+    outcomes.push_back(TakeLaneOutcome(k));
   }
   for (SimObserver* observer : observers_) {
     for (size_t lane = 0; lane < outcomes.size(); ++lane) {
@@ -419,153 +154,21 @@ Result<SimulationOutcome> SimStream::Finish() {
 }
 
 Result<SimCheckpoint> SimStream::Checkpoint() const {
-  if (finished_) {
-    return Status::OutOfRange(
-        "cannot Checkpoint a stream consumed by Finish()");
-  }
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    if (!lanes_[i].policy->SupportsCheckpoint()) {
-      return Status::NotImplemented(
-          "policy '" + lanes_[i].policy->name() + "' (lane " +
-          std::to_string(i) + ") does not support checkpointing");
-    }
-  }
   SimCheckpoint checkpoint;
-  checkpoint.cursor = cursor_;
-  checkpoint.train_minutes = options_.train_minutes;
-  checkpoint.end_minute = end_;
-  checkpoint.pin_executing_functions = options_.pin_executing_functions;
-  checkpoint.num_functions = source_->num_functions();
-  checkpoint.stopped = stopped_;
-  checkpoint.lanes.reserve(lanes_.size());
-  for (const Lane& lane : lanes_) {
-    SimCheckpoint::Lane out;
-    out.policy_name = lane.policy->name();
-    lane.cols.Materialize(cursor_, lane.mem, &out.accounts);
-    out.memory_series = lane.memory_series;
-    out.loaded = lane.mem.ToBytes();
-    out.totals = lane.totals;
-    out.overhead_seconds = lane.overhead_seconds;
-    SPES_ASSIGN_OR_RETURN(out.policy_state, lane.policy->SaveState());
-    if (lane.latency != nullptr) out.latency_state = lane.latency->SaveState();
-    checkpoint.lanes.push_back(std::move(out));
+  SPES_RETURN_NOT_OK(BeginCheckpoint(&checkpoint));
+  checkpoint.lanes.resize(lanes_.size());
+  for (size_t k = 0; k < lanes_.size(); ++k) {
+    SPES_RETURN_NOT_OK(SaveLane(k, &checkpoint.lanes[k]));
   }
-  if (options_.recorder != nullptr) {
-    options_.recorder->CheckpointEvent("save", options_.recorder_slot,
-                                       static_cast<uint64_t>(cursor_));
-  }
+  RecordCheckpoint("save");
   return checkpoint;
 }
 
 Status SimStream::Restore(const SimCheckpoint& checkpoint) {
-  if (finished_) {
-    return Status::OutOfRange("cannot Restore a stream consumed by Finish()");
-  }
-  const size_t n = source_->num_functions();
-  if (checkpoint.num_functions != n) {
-    return Status::InvalidArgument(
-        "checkpoint num_functions (=" +
-        std::to_string(checkpoint.num_functions) +
-        ") does not match this stream's trace (=" + std::to_string(n) + ")");
-  }
-  if (checkpoint.train_minutes != options_.train_minutes) {
-    return Status::InvalidArgument(
-        "checkpoint train_minutes (=" +
-        std::to_string(checkpoint.train_minutes) +
-        ") does not match this stream (=" +
-        std::to_string(options_.train_minutes) + ")");
-  }
-  if (checkpoint.end_minute != end_) {
-    return Status::InvalidArgument(
-        "checkpoint end_minute (=" + std::to_string(checkpoint.end_minute) +
-        ") does not match this stream (=" + std::to_string(end_) + ")");
-  }
-  if (checkpoint.pin_executing_functions !=
-      options_.pin_executing_functions) {
-    return Status::InvalidArgument(
-        "checkpoint pin_executing_functions (=" +
-        std::string(checkpoint.pin_executing_functions ? "true" : "false") +
-        ") does not match this stream");
-  }
-  if (checkpoint.cursor < start_ || checkpoint.cursor > end_) {
-    return Status::InvalidArgument(
-        "checkpoint cursor (=" + std::to_string(checkpoint.cursor) +
-        ") is outside this stream's window [" + std::to_string(start_) +
-        ", " + std::to_string(end_) + "]");
-  }
-  if (checkpoint.lanes.size() != lanes_.size()) {
-    return Status::InvalidArgument(
-        "checkpoint has (=" + std::to_string(checkpoint.lanes.size()) +
-        ") lanes but this stream has (=" + std::to_string(lanes_.size()) +
-        ")");
-  }
-  const size_t expected_series =
-      static_cast<size_t>(checkpoint.cursor - start_);
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    const SimCheckpoint::Lane& in = checkpoint.lanes[i];
-    if (in.policy_name != lanes_[i].policy->name()) {
-      return Status::InvalidArgument(
-          "checkpoint lane " + std::to_string(i) + " holds policy '" +
-          in.policy_name + "' but this stream has '" +
-          lanes_[i].policy->name() + "'");
-    }
-    if (in.accounts.size() != n || in.loaded.size() != n) {
-      return Status::InvalidArgument(
-          "checkpoint lane " + std::to_string(i) +
-          " is sized for (=" + std::to_string(in.accounts.size()) +
-          ") functions, expected (=" + std::to_string(n) + ")");
-    }
-    if (in.memory_series.size() != expected_series) {
-      return Status::InvalidArgument(
-          "checkpoint lane " + std::to_string(i) + " memory series has (=" +
-          std::to_string(in.memory_series.size()) +
-          ") entries but the cursor implies (=" +
-          std::to_string(expected_series) + ")");
-    }
-    // A LatencyLane blob is never empty, so presence of latency state is
-    // exactly "the origin stream ran with a latency block".
-    if (in.latency_state.empty() != (lanes_[i].latency == nullptr)) {
-      return Status::InvalidArgument(
-          "checkpoint lane " + std::to_string(i) +
-          (in.latency_state.empty()
-               ? " has no latency state but this stream has a latency block"
-               : " carries latency state but this stream has no latency "
-                 "block"));
-    }
-  }
-
-  // Shape checks all passed; hand the policies their state, then reinstate
-  // the engine-side counters. A RestoreState failure here (e.g. a corrupt
-  // policy blob) leaves the stream in an unspecified mix of old and new
-  // state — callers must discard the stream on a non-OK Restore.
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    SPES_RETURN_NOT_OK(
-        lanes_[i].policy->RestoreState(checkpoint.lanes[i].policy_state));
-    if (lanes_[i].latency != nullptr) {
-      SPES_RETURN_NOT_OK(lanes_[i].latency->RestoreState(
-          checkpoint.lanes[i].latency_state, expected_series));
-    }
-  }
-  for (size_t i = 0; i < lanes_.size(); ++i) {
-    const SimCheckpoint::Lane& in = checkpoint.lanes[i];
-    Lane& lane = lanes_[i];
-    lane.memory_series = in.memory_series;
-    lane.totals = in.totals;
-    lane.overhead_seconds = in.overhead_seconds;
-    MemSet mem(n);
-    for (size_t f = 0; f < n; ++f) {
-      if (in.loaded[f]) mem.Add(f);
-    }
-    lane.mem = std::move(mem);
-    lane.cols.LoadFrom(in.accounts, lane.mem, checkpoint.cursor);
-  }
-  cursor_ = checkpoint.cursor;
-  stopped_ = checkpoint.stopped;
-  if (options_.recorder != nullptr) {
-    options_.recorder->CheckpointEvent("restore", options_.recorder_slot,
-                                       static_cast<uint64_t>(cursor_));
-  }
-  return Status::OK();
+  SPES_RETURN_NOT_OK(CheckCursor(checkpoint, checkpoint.lanes.size()));
+  std::vector<const LaneCheckpoint*> lanes;
+  for (const LaneCheckpoint& lane : checkpoint.lanes) lanes.push_back(&lane);
+  return RestoreLanes(lanes, checkpoint);
 }
 
 std::string SerializeCheckpoint(const SimCheckpoint& checkpoint) {
@@ -576,32 +179,12 @@ std::string SerializeCheckpoint(const SimCheckpoint& checkpoint) {
   BinaryWriter w;
   w.PutBytes(kCheckpointMagic);
   w.PutU32(has_latency ? kCheckpointVersionLatency : kCheckpointVersion);
-  w.PutI32(checkpoint.cursor);
-  w.PutI32(checkpoint.train_minutes);
-  w.PutI32(checkpoint.end_minute);
-  w.PutBool(checkpoint.pin_executing_functions);
-  w.PutU64(checkpoint.num_functions);
-  w.PutBool(checkpoint.stopped);
+  PutCheckpointCursor(w, checkpoint);
   w.PutU64(checkpoint.lanes.size());
   for (const SimCheckpoint::Lane& lane : checkpoint.lanes) {
     w.PutBytes(lane.policy_name);
-    w.PutU64(lane.accounts.size());
-    for (const FunctionAccount& acc : lane.accounts) {
-      w.PutU64(acc.invocations);
-      w.PutU64(acc.invoked_minutes);
-      w.PutU64(acc.cold_starts);
-      w.PutU64(acc.loaded_minutes);
-      w.PutU64(acc.wasted_minutes);
-    }
-    w.PutU64(lane.memory_series.size());
-    for (uint32_t v : lane.memory_series) w.PutU32(v);
-    w.PutU64(lane.loaded.size());
-    for (uint8_t v : lane.loaded) w.PutU8(v);
-    w.PutU64(lane.totals.invocations);
-    w.PutU64(lane.totals.cold_starts);
-    w.PutU64(lane.totals.loaded_instance_minutes);
-    w.PutU64(lane.totals.wasted_memory_minutes);
-    w.PutDouble(lane.overhead_seconds);
+    PutLaneCounters(w, lane);
+    PutLaneTotals(w, lane);
     w.PutBytes(lane.policy_state);
     if (has_latency) w.PutBytes(lane.latency_state);
   }
@@ -610,25 +193,12 @@ std::string SerializeCheckpoint(const SimCheckpoint& checkpoint) {
 
 Result<SimCheckpoint> ParseCheckpoint(const std::string& bytes) {
   BinaryReader r(bytes);
-  SPES_ASSIGN_OR_RETURN(const std::string magic, r.Bytes());
-  if (magic != kCheckpointMagic) {
-    return Status::InvalidArgument(
-        "not a SPES checkpoint (bad magic tag)");
-  }
-  SPES_ASSIGN_OR_RETURN(const uint32_t version, r.U32());
-  if (version != kCheckpointVersion && version != kCheckpointVersionLatency) {
-    return Status::InvalidArgument(
-        "unsupported checkpoint version (=" + std::to_string(version) +
-        "), expected (=" + std::to_string(kCheckpointVersion) + ") or (=" +
-        std::to_string(kCheckpointVersionLatency) + ")");
-  }
+  SPES_ASSIGN_OR_RETURN(
+      const uint32_t version,
+      ReadCheckpointTag(r, kCheckpointMagic, "checkpoint",
+                        kCheckpointVersionLatency));
   SimCheckpoint checkpoint;
-  SPES_ASSIGN_OR_RETURN(checkpoint.cursor, r.I32());
-  SPES_ASSIGN_OR_RETURN(checkpoint.train_minutes, r.I32());
-  SPES_ASSIGN_OR_RETURN(checkpoint.end_minute, r.I32());
-  SPES_ASSIGN_OR_RETURN(checkpoint.pin_executing_functions, r.Bool());
-  SPES_ASSIGN_OR_RETURN(checkpoint.num_functions, r.U64());
-  SPES_ASSIGN_OR_RETURN(checkpoint.stopped, r.Bool());
+  SPES_RETURN_NOT_OK(ReadCheckpointCursor(r, &checkpoint));
   // Minimal encoded lane: 80 bytes (empty name/blob/vector prefixes +
   // totals + overhead) — bounds reserve() against corrupt counts.
   SPES_ASSIGN_OR_RETURN(const uint64_t num_lanes, r.Length(80));
@@ -636,45 +206,15 @@ Result<SimCheckpoint> ParseCheckpoint(const std::string& bytes) {
   for (uint64_t i = 0; i < num_lanes; ++i) {
     SimCheckpoint::Lane lane;
     SPES_ASSIGN_OR_RETURN(lane.policy_name, r.Bytes());
-    SPES_ASSIGN_OR_RETURN(const uint64_t num_accounts, r.Length(40));
-    lane.accounts.reserve(num_accounts);
-    for (uint64_t k = 0; k < num_accounts; ++k) {
-      FunctionAccount acc;
-      SPES_ASSIGN_OR_RETURN(acc.invocations, r.U64());
-      SPES_ASSIGN_OR_RETURN(acc.invoked_minutes, r.U64());
-      SPES_ASSIGN_OR_RETURN(acc.cold_starts, r.U64());
-      SPES_ASSIGN_OR_RETURN(acc.loaded_minutes, r.U64());
-      SPES_ASSIGN_OR_RETURN(acc.wasted_minutes, r.U64());
-      lane.accounts.push_back(acc);
-    }
-    SPES_ASSIGN_OR_RETURN(const uint64_t num_series, r.Length(4));
-    lane.memory_series.reserve(num_series);
-    for (uint64_t k = 0; k < num_series; ++k) {
-      SPES_ASSIGN_OR_RETURN(const uint32_t v, r.U32());
-      lane.memory_series.push_back(v);
-    }
-    SPES_ASSIGN_OR_RETURN(const uint64_t num_loaded, r.Length(1));
-    lane.loaded.reserve(num_loaded);
-    for (uint64_t k = 0; k < num_loaded; ++k) {
-      SPES_ASSIGN_OR_RETURN(const uint8_t v, r.U8());
-      lane.loaded.push_back(v);
-    }
-    SPES_ASSIGN_OR_RETURN(lane.totals.invocations, r.U64());
-    SPES_ASSIGN_OR_RETURN(lane.totals.cold_starts, r.U64());
-    SPES_ASSIGN_OR_RETURN(lane.totals.loaded_instance_minutes, r.U64());
-    SPES_ASSIGN_OR_RETURN(lane.totals.wasted_memory_minutes, r.U64());
-    SPES_ASSIGN_OR_RETURN(lane.overhead_seconds, r.Double());
+    SPES_RETURN_NOT_OK(ReadLaneCounters(r, &lane));
+    SPES_RETURN_NOT_OK(ReadLaneTotals(r, &lane));
     SPES_ASSIGN_OR_RETURN(lane.policy_state, r.Bytes());
     if (version >= kCheckpointVersionLatency) {
       SPES_ASSIGN_OR_RETURN(lane.latency_state, r.Bytes());
     }
     checkpoint.lanes.push_back(std::move(lane));
   }
-  if (!r.AtEnd()) {
-    return Status::InvalidArgument(
-        "checkpoint has " + std::to_string(r.remaining()) +
-        " trailing bytes");
-  }
+  SPES_RETURN_NOT_OK(ExpectCheckpointEnd(r, "checkpoint"));
   return checkpoint;
 }
 

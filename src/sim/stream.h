@@ -34,6 +34,7 @@
 #include "sim/accounting.h"
 #include "sim/columnar.h"
 #include "sim/engine.h"
+#include "sim/lane.h"
 #include "sim/memset.h"
 #include "sim/observer.h"
 #include "sim/policy.h"
@@ -46,31 +47,12 @@ namespace spes {
 /// every counter the engine maintains and the policy's serialized state.
 /// Produced by SimStream::Checkpoint(), consumed by SimStream::Restore();
 /// SerializeCheckpoint()/ParseCheckpoint() round-trip it through bytes.
-struct SimCheckpoint {
-  /// Next minute to simulate when resumed.
-  int cursor = 0;
-  /// The window the stream was created with (validated on Restore).
-  int train_minutes = 0;
-  int end_minute = 0;  ///< resolved end (never 0 unless the window is empty)
-  bool pin_executing_functions = true;
-  uint64_t num_functions = 0;
-  bool stopped = false;  ///< an early stop was requested before the snapshot
-
-  struct Lane {
-    std::string policy_name;  ///< Policy::name(), validated on Restore
-    std::vector<FunctionAccount> accounts;
-    std::vector<uint32_t> memory_series;
-    std::vector<uint8_t> loaded;  ///< MemSet membership bytes
-    LiveTotals totals;
-    double overhead_seconds = 0.0;
-    std::string policy_state;  ///< Policy::SaveState() blob
-    /// LatencyLane::SaveState() blob when the stream ran with a latency
-    /// block; empty otherwise. Serialized checkpoints stay at version 1
-    /// (byte-identical to before the latency subsystem existed) when
-    /// every lane's blob is empty; any non-empty blob bumps the tag to
-    /// version 2.
-    std::string latency_state;
-  };
+/// A lane's `latency_state` is empty unless the stream ran with a latency
+/// block. Serialized checkpoints stay at version 1 (byte-identical to
+/// before the latency subsystem existed) when every lane's blob is empty;
+/// any non-empty blob bumps the tag to version 2.
+struct SimCheckpoint : CheckpointCursor {
+  using Lane = LaneCheckpoint;
   std::vector<Lane> lanes;
 };
 
@@ -84,8 +66,11 @@ Result<SimCheckpoint> ParseCheckpoint(const std::string& bytes);
 /// \brief An incremental simulation session. Create() trains the
 /// policy/policies and positions the cursor at the first simulated minute.
 /// The trace, policies and observers are borrowed and must outlive the
-/// stream. Not thread-safe; drive each stream from one thread.
-class SimStream {
+/// stream. Not thread-safe; drive each stream from one thread. Lockstep
+/// lanes step concurrently inside Step() on up to
+/// SimOptions::step_threads threads (sim/lane.h); a single-lane stream
+/// never starts a thread.
+class SimStream : public LaneSession {
  public:
   /// \brief Single-policy stream. Fails like Simulate() on a null policy,
   /// an invalid window, or a train window past the trace horizon.
@@ -112,38 +97,6 @@ class SimStream {
   static Result<SimStream> Create(TraceSource& source,
                                   std::vector<Policy*> policies,
                                   const SimOptions& options);
-
-  /// \brief Attaches a per-minute observer (borrowed). Must be called
-  /// before the first Step(); OnStreamStart fires at that first step.
-  void AddObserver(SimObserver* observer);
-
-  /// \name Cursor state
-  /// @{
-  [[nodiscard]] int cursor() const { return cursor_; }          ///< next minute to run
-  [[nodiscard]] int start_minute() const { return start_; }     ///< == train_minutes
-  [[nodiscard]] int end_minute() const { return end_; }         ///< resolved end
-  [[nodiscard]] size_t num_lanes() const { return lanes_.size(); }
-  [[nodiscard]] const Policy* policy(size_t lane) const { return lanes_[lane].policy; }
-  /// Minutes decoded so far: one arrival decode serves every lane, so
-  /// this counts simulated minutes, not minutes x lanes.
-  [[nodiscard]] int64_t minutes_decoded() const { return minutes_decoded_; }
-  /// True once the cursor reached end_minute(), an observer (or
-  /// RequestStop) halted the stream, or Finish()/FinishAll() consumed it.
-  [[nodiscard]] bool done() const { return finished_ || stopped_ || cursor_ >= end_; }
-  /// True when the stream halted before end_minute().
-  [[nodiscard]] bool stopped_early() const { return stopped_; }
-  /// @}
-
-  /// \brief Simulates one minute across all lanes. Cancelled once the
-  /// stream was stopped early (observer or RequestStop), OutOfRange once
-  /// it is exhausted or consumed by Finish().
-  Status Step();
-
-  /// \brief Steps until the cursor reaches min(minute, end_minute()). A
-  /// minute at or before the cursor is a no-op. Cancelled when an early
-  /// stop (observer or RequestStop) halts the stream short of the target;
-  /// OutOfRange if the stream was already consumed by Finish().
-  Status RunUntil(int minute);
 
   /// \brief Convenience: RunUntil(end_minute()).
   Status RunToEnd() { return RunUntil(end_); }
@@ -178,69 +131,27 @@ class SimStream {
   /// the checkpoint's origin (validated field by field, InvalidArgument
   /// naming the mismatch); policies are handed their serialized state.
   /// After a successful restore the stream continues from
-  /// checkpoint.cursor exactly as the original would have.
+  /// checkpoint.cursor exactly as the original would have. A failed
+  /// restore (a corrupt policy or latency blob included) leaves the
+  /// stream exactly as it was.
   Status Restore(const SimCheckpoint& checkpoint);
 
  private:
-  struct Lane {
-    Policy* policy = nullptr;
-    MemSet mem{0};
-    /// Columnar (SoA) per-function counters — the hot-loop representation.
-    LaneColumns cols;
-    std::vector<uint32_t> memory_series;
-    LiveTotals totals;
-    double overhead_seconds = 0.0;
-    /// Classic account view, materialized on demand (observers attached,
-    /// snapshots, checkpoints, outcomes); empty on the fast path.
-    std::vector<FunctionAccount> scratch_accounts;
-    /// Per-lane latency/queue state when SimOptions.latency is set; null
-    /// (and the latency path untouched) otherwise.
-    std::unique_ptr<LatencyLane> latency;
-  };
-
   SimStream(TraceSource* source, std::unique_ptr<TraceSource> owned,
             const SimOptions& options, int end);
 
-  /// Delivers OnStreamStart exactly once, before any other callback.
-  void EnsureStarted();
+  /// Shared body of the Create() overloads. `full_trace` is non-null for
+  /// the in-memory path (policies then train on the real full trace);
+  /// when null, the train prefix is materialized from `source` and
+  /// RequiresFullTrace() policies are rejected.
+  static Result<SimStream> CreateImpl(TraceSource* source,
+                                      std::unique_ptr<TraceSource> owned,
+                                      const Trace* full_trace,
+                                      std::vector<Policy*> policies,
+                                      const SimOptions& options);
 
-  /// Builds each lane's LatencyLane from options_.latency (called by the
-  /// Create() overloads after the lanes exist).
-  Status EnableLatency();
-
-  /// One simulated minute for every lane over a single arrival decode.
-  /// Fails (without advancing the cursor) when the source fails mid-run —
-  /// only possible for disk-backed sources.
-  Status StepLocked();
-
-  /// The in-memory adapter when created from a Trace; null for borrowed
-  /// sources. Heap-allocated so source_ stays stable across moves.
-  std::unique_ptr<TraceSource> owned_source_;
-  TraceSource* source_;
-  SimOptions options_;
-  int start_;
-  int end_;
-  int cursor_;
-  bool started_ = false;   ///< OnStreamStart delivered
-  bool stopped_ = false;   ///< early stop requested
-  bool finished_ = false;  ///< outcomes moved out
-  int64_t minutes_decoded_ = 0;
-  std::vector<Lane> lanes_;
-  std::vector<SimObserver*> observers_;
-
-  /// Block-transposed minute-major decode shared by every lane.
-  ArrivalDecoder decoder_;
-  /// This minute's arrivals, copied from the decoder block (the Policy
-  /// API takes a vector); reused across steps.
-  std::vector<Invocation> arrivals_;
-  /// Per-request sampling keys shared by every latency lane; null when
-  /// the latency subsystem is disabled.
-  std::shared_ptr<const std::vector<uint64_t>> latency_hashes_;
-  /// Scratch: this minute's per-arrival cold flags (latency path only).
-  std::vector<uint8_t> cold_flags_;
-  /// Open "simulate" span token when SimOptions.recorder is set; closed
-  /// by FinishAll(). Observability only — never feeds sim state.
-  uint64_t simulate_span_ = 0;
+  void StepLaneAt(size_t k, int t) override;
+  const std::vector<Invocation>* ReportedArrivals(size_t k) const override;
 };
 
 }  // namespace spes
