@@ -33,7 +33,7 @@
 #include "policies/iat_histogram.h"
 #include "sim/columnar.h"
 #include "sim/engine.h"
-#include "sim/reference_kernel.h"
+#include "tests/reference_kernel.h"
 #include "sim/stream.h"
 #include "tests/reference_spes_policy.h"
 #include "trace/generator.h"

@@ -7,10 +7,10 @@
 // pluggable Router (cluster/router.h) deciding which node serves each
 // arriving function. A ClusterSession realizes the spec over a trace and
 // drives one engine lane per node in lockstep over a single shared
-// arrival decode per minute — per node, a minute is processed exactly
-// like a SimStream lane (cold-start accounting, execution pinning, policy
-// step, residency accounting), so a single-node `hash` cluster reproduces
-// the non-cluster engine bit for bit.
+// arrival decode per minute — per node, a minute is the same StepLane a
+// SimStream lane runs (sim/lane.h: cold-start accounting, execution
+// pinning, policy step, residency accounting), so a single-node `hash`
+// cluster reproduces the non-cluster engine bit for bit.
 //
 // Two cluster-only mechanisms sit on top of the lane semantics:
 //   * per-node memory pressure: when a node ends its minute above its

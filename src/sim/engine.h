@@ -49,12 +49,13 @@ struct SimOptions {
   /// traces are stable at any thread count. Ignored when recorder is
   /// null; must be non-negative.
   int recorder_slot = 0;
-  /// Threads a ClusterSession step fans its per-node work out over: 0
-  /// (the default) means min(nodes, hardware threads), 1 runs every node
-  /// on the calling thread, and values above the node count are capped
-  /// at it; must be non-negative. Results, checkpoints and observer calls
-  /// are identical at every value, so it is not part of a checkpoint.
-  /// SimStream lanes always step on the calling thread.
+  /// Threads a step fans its lanes out over — a SimStream's lockstep
+  /// lanes or a ClusterSession's nodes: 0 (the default) means
+  /// min(lanes, hardware threads), 1 runs every lane on the calling
+  /// thread, and values above the lane count are capped at it (so a
+  /// single-lane stream never starts a thread); must be non-negative.
+  /// Results, checkpoints and observer calls are identical at every
+  /// value, so it is not part of a checkpoint.
   int step_threads = 0;
 };
 

@@ -44,10 +44,10 @@ class Policy {
   /// a policy must not assume one call per minute. Between calls, code
   /// outside the policy may evict from `mem` (cluster capacity).
   ///
-  /// Threading: the node policies of one cluster may run OnMinute()
-  /// concurrently on different threads (one call per instance at a time),
-  /// so instances must not share mutable state — no static caches, no
-  /// shared generators.
+  /// Threading: the lanes of one lockstep SimStream and the node policies
+  /// of one cluster may run OnMinute() concurrently on different threads
+  /// (one call per instance at a time), so instances must not share
+  /// mutable state — no static caches, no shared generators.
   virtual void OnMinute(int t, const std::vector<Invocation>& arrivals,
                         MemSet* mem) = 0;
 

@@ -19,7 +19,7 @@
 //     for cross-process resume.
 //   * Lockstep lanes: N policies advance over ONE shared arrival decode
 //     per minute, so a policy sweep walks the trace once instead of once
-//     per policy.
+//     per policy; within a minute the lanes step in parallel (sim/lane.h).
 
 #ifndef SPES_SIM_STREAM_H_
 #define SPES_SIM_STREAM_H_

@@ -14,6 +14,7 @@
 
 #include "cluster/cluster.h"
 #include "cluster/router.h"
+#include "latency/latency.h"
 #include "metrics/report.h"
 #include "obs/recorder.h"
 #include "obs/run_log.h"
@@ -639,6 +640,59 @@ TEST(ClusterParallelStepTest, CheckpointsDoNotDependOnTheThreadCount) {
     ClusterSession uninterrupted = OpenParallelSession(trace, c, 4);
     ExpectSameCluster(uninterrupted.Finish().ValueOrDie(),
                       resumed.Finish().ValueOrDie());
+  }
+}
+
+TEST(ClusterRestoreTest, FailedRestoreLeavesTheSessionExactlyAsItWas) {
+  const Trace trace = ParallelFleet();
+  const ParallelCase& c = kParallelCases[0];
+  // A checkpoint from later in the window whose node 1 carries a corrupt
+  // (truncated) policy or latency blob: node 0 installs fine, node 1
+  // fails, so node 0 must be rolled back.
+  ClusterSession origin = OpenParallelSession(trace, c, 1);
+  ASSERT_TRUE(origin.RunUntil(2100).ok());
+  const ClusterCheckpoint good = origin.Checkpoint().ValueOrDie();
+  for (const bool corrupt_policy : {true, false}) {
+    SCOPED_TRACE(corrupt_policy ? "policy blob" : "latency blob");
+    ClusterCheckpoint bad = good;
+    std::string& blob = corrupt_policy ? bad.nodes[1].policy_state
+                                       : bad.nodes[1].latency_state;
+    blob.resize(blob.size() / 2);
+
+    ClusterSession session = OpenParallelSession(trace, c, 2);
+    ClusterSession uninterrupted = OpenParallelSession(trace, c, 2);
+    ASSERT_TRUE(session.RunUntil(1800).ok());
+    ASSERT_TRUE(uninterrupted.RunUntil(1800).ok());
+    const Status status = session.Restore(bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(session.cursor(), 1800);
+    EXPECT_EQ(CheckpointBytes(session), CheckpointBytes(uninterrupted));
+    ExpectSameCluster(uninterrupted.Finish().ValueOrDie(),
+                      session.Finish().ValueOrDie());
+  }
+}
+
+TEST(ClusterCheckpointTest, EveryPrefixOfACheckpointIsRejected) {
+  const Trace trace = MakeFleet({1, 2, 3, 5}, 40);
+  ClusterSpec cluster;
+  cluster.nodes = 2;
+  cluster.node_capacity = 2;
+  cluster.router = {"least_loaded", {}};
+  cluster.events = ParseNodeEventTimeline("fail{at=20,node=1}").ValueOrDie();
+  SimOptions options;
+  options.train_minutes = 10;
+  options.latency = ParseLatencySpec(kParallelLatency).ValueOrDie();
+  ClusterSession session =
+      ClusterSession::Create(trace, cluster, {"fixed_keepalive", {}}, options)
+          .ValueOrDie();
+  ASSERT_TRUE(session.RunUntil(25).ok());
+  const std::string bytes =
+      SerializeClusterCheckpoint(session.Checkpoint().ValueOrDie());
+  ASSERT_TRUE(ParseClusterCheckpoint(bytes).ok());
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_EQ(ParseClusterCheckpoint(bytes.substr(0, len)).status().code(),
+              StatusCode::kInvalidArgument)
+        << "prefix of " << len << " bytes";
   }
 }
 

@@ -1,6 +1,6 @@
 // Differential test for the columnar minute-major kernel: SimStream's
 // outcome must be bitwise-equal to the kept naive reference loop
-// (sim/reference_kernel.h) on random fleets across seeds, sparse and
+// (tests/reference_kernel.h) on random fleets across seeds, sparse and
 // dense arrival mixes, and pinning on/off. The two implementations share
 // no hot-path code, so any columnar bookkeeping bug (interval accrual,
 // decode order, bitset diffing) shows up as a counter mismatch here.
@@ -16,7 +16,7 @@
 #include "policies/faascache.h"
 #include "policies/fixed_keepalive.h"
 #include "sim/engine.h"
-#include "sim/reference_kernel.h"
+#include "tests/reference_kernel.h"
 #include "sim/stream.h"
 #include "trace/generator.h"
 

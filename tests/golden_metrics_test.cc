@@ -26,7 +26,7 @@
 #include "policies/fixed_keepalive.h"
 #include "runner/suite_runner.h"
 #include "sim/engine.h"
-#include "sim/reference_kernel.h"
+#include "tests/reference_kernel.h"
 #include "sim/scenario.h"
 #include "sim/stream.h"
 #include "trace/generator.h"
@@ -788,40 +788,46 @@ TEST(GoldenMetricsTest, RecorderAttachedBatchRunMatchesGoldensBitwise) {
 TEST(GoldenMetricsTest, RecorderAttachedLockstepLanesMatchGoldensBitwise) {
   const Trace fleet = GoldenTrace();
 
-  StringLogSink sink;
-  RunRecorder recorder(&sink);
-  SimOptions options = GoldenOptions();
-  options.recorder = &recorder;
+  // Recorded with the lanes stepped serially and fanned out.
+  for (const int step_threads : {1, 4}) {
+    SCOPED_TRACE("step_threads " + std::to_string(step_threads));
+    StringLogSink sink;
+    RunRecorder recorder(&sink);
+    SimOptions options = GoldenOptions();
+    options.recorder = &recorder;
+    options.step_threads = step_threads;
 
-  SpesPolicy spes;
-  FixedKeepAlivePolicy fixed(10);
-  SimStream stream =
-      SimStream::Create(fleet, {&spes, &fixed}, options).ValueOrDie();
-  const std::vector<SimulationOutcome> outcomes =
-      stream.FinishAll().ValueOrDie();
-  recorder.Finish();
+    SpesPolicy spes;
+    FixedKeepAlivePolicy fixed(10);
+    SimStream stream =
+        SimStream::Create(fleet, {&spes, &fixed}, options).ValueOrDie();
+    const std::vector<SimulationOutcome> outcomes =
+        stream.FinishAll().ValueOrDie();
+    recorder.Finish();
 
-  ASSERT_EQ(outcomes.size(), 2u);
-  SpesPolicy spes_batch;
-  FixedKeepAlivePolicy fixed_batch(10);
-  ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&spes_batch), outcomes[0]);
-  ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&fixed_batch), outcomes[1]);
-  EXPECT_EQ(outcomes[0].metrics.total_cold_starts, 631u);
-  EXPECT_EQ(outcomes[1].metrics.total_cold_starts, 1574u);
+    ASSERT_EQ(outcomes.size(), 2u);
+    SpesPolicy spes_batch;
+    FixedKeepAlivePolicy fixed_batch(10);
+    ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&spes_batch), outcomes[0]);
+    ExpectBitwiseIdenticalBehaviour(RunGoldenFleet(&fixed_batch),
+                                    outcomes[1]);
+    EXPECT_EQ(outcomes[0].metrics.total_cold_starts, 631u);
+    EXPECT_EQ(outcomes[1].metrics.total_cold_starts, 1574u);
 
-  // Two lanes: one train span each, one shared simulate + finish span,
-  // and 48 heartbeats per lane tagged with the lane index.
-  const ParsedRunLog log = ParseRunLog(sink.contents()).ValueOrDie();
-  EXPECT_EQ(log.spans.size(), 4u);
-  ASSERT_EQ(log.heartbeats.size(), 96u);
-  uint64_t lane_totals[2] = {0, 0};
-  for (const HeartbeatRecord& hb : log.heartbeats) {
-    ASSERT_TRUE(hb.lane == 0 || hb.lane == 1);
-    lane_totals[hb.lane] =
-        std::max<uint64_t>(lane_totals[hb.lane], hb.cold_starts);
+    // Two lanes: one train span each, one shared simulate + finish span,
+    // and 48 heartbeats per lane tagged with the lane index.
+    const ParsedRunLog log = ParseRunLog(sink.contents()).ValueOrDie();
+    EXPECT_EQ(log.spans.size(), 4u);
+    ASSERT_EQ(log.heartbeats.size(), 96u);
+    uint64_t lane_totals[2] = {0, 0};
+    for (const HeartbeatRecord& hb : log.heartbeats) {
+      ASSERT_TRUE(hb.lane == 0 || hb.lane == 1);
+      lane_totals[hb.lane] =
+          std::max<uint64_t>(lane_totals[hb.lane], hb.cold_starts);
+    }
+    EXPECT_EQ(lane_totals[0], 631u);
+    EXPECT_EQ(lane_totals[1], 1574u);
   }
-  EXPECT_EQ(lane_totals[0], 631u);
-  EXPECT_EQ(lane_totals[1], 1574u);
 }
 
 TEST(GoldenMetricsTest, RecorderAttachedFourNodeClusterMatchesGoldensBitwise) {

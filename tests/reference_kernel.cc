@@ -1,4 +1,4 @@
-#include "sim/reference_kernel.h"
+#include "tests/reference_kernel.h"
 
 #include <algorithm>
 #include <cstdint>

@@ -11,8 +11,8 @@
 // independent implementation (tests/columnar_diff_test.cc), and benches
 // can report the honest before/after ratio.
 
-#ifndef SPES_SIM_REFERENCE_KERNEL_H_
-#define SPES_SIM_REFERENCE_KERNEL_H_
+#ifndef SPES_TESTS_REFERENCE_KERNEL_H_
+#define SPES_TESTS_REFERENCE_KERNEL_H_
 
 #include "common/status.h"
 #include "sim/accounting.h"
@@ -31,4 +31,4 @@ Result<SimulationOutcome> SimulateReference(const Trace& trace,
 
 }  // namespace spes
 
-#endif  // SPES_SIM_REFERENCE_KERNEL_H_
+#endif  // SPES_TESTS_REFERENCE_KERNEL_H_

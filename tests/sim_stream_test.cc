@@ -1,20 +1,29 @@
 // SimStream unit tests: incremental stepping semantics, observer hooks
 // and early stop, checkpoint/restore (including the serialized byte
-// form and its failure modes), and lockstep multi-policy lanes. The
-// bitwise streaming-vs-batch equivalence on the golden fleet lives in
-// golden_metrics_test.cc.
+// form, its failure modes and the transactional restore), lockstep
+// multi-policy lanes, and those lanes stepping in parallel (identical
+// runs at every step_threads). The bitwise streaming-vs-batch
+// equivalence on the golden fleet lives in golden_metrics_test.cc.
 
 #include "sim/stream.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/policy_registry.h"
+#include "core/spes_policy.h"
+#include "latency/latency.h"
+#include "obs/recorder.h"
+#include "obs/run_log.h"
 #include "policies/fixed_keepalive.h"
 #include "policies/oracle.h"
 #include "sim/engine.h"
 #include "sim/observers.h"
+#include "trace/generator.h"
 
 namespace spes {
 namespace {
@@ -520,6 +529,248 @@ TEST(SimStreamTest, TimeSeriesObserverCapturesStridedSamples) {
   EXPECT_EQ(samples[1].minute, 5);
   EXPECT_EQ(samples[1].invocations, 4u);
   EXPECT_EQ(samples[0].loaded_instances, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Transactional restore
+// ---------------------------------------------------------------------
+
+Trace GeneratedFleet() {
+  GeneratorConfig config;
+  config.num_functions = 120;
+  config.days = 2;
+  config.seed = 5;
+  return std::move(GenerateTrace(config).ValueOrDie().trace);
+}
+
+/// Tight enough (one slot, four queue places) that requests time out.
+constexpr char kTightLatency[] =
+    "lognormal{warm_median_ms=40,warm_sigma=0.4} @ "
+    "queue{capacity=4,concurrency=1,seed=42,timeout_ms=250}";
+
+SimOptions LatencyOptions(int step_threads) {
+  SimOptions options;
+  options.train_minutes = kMinutesPerDay;
+  options.latency = ParseLatencySpec(kTightLatency).ValueOrDie();
+  options.step_threads = step_threads;
+  return options;
+}
+
+/// Registry-built policies for one stream, kept alive with it.
+struct Lanes {
+  std::vector<std::unique_ptr<Policy>> owned;
+  std::vector<Policy*> policies;
+
+  explicit Lanes(const std::vector<std::string>& specs) {
+    for (const std::string& spec : specs) {
+      owned.push_back(
+          PolicyRegistry::Global().CreateFromString(spec).ValueOrDie());
+      policies.push_back(owned.back().get());
+    }
+  }
+};
+
+/// Checkpoint bytes with the wall-clock policy-step timers zeroed.
+std::string CheckpointBytes(const SimStream& stream) {
+  SimCheckpoint checkpoint = stream.Checkpoint().ValueOrDie();
+  for (SimCheckpoint::Lane& lane : checkpoint.lanes) {
+    lane.overhead_seconds = 0.0;
+  }
+  return SerializeCheckpoint(checkpoint);
+}
+
+void ExpectSameOutcome(const SimulationOutcome& a, const SimulationOutcome& b) {
+  ASSERT_EQ(a.accounts.size(), b.accounts.size());
+  for (size_t f = 0; f < a.accounts.size(); ++f) {
+    EXPECT_EQ(a.accounts[f].invocations, b.accounts[f].invocations) << f;
+    EXPECT_EQ(a.accounts[f].invoked_minutes, b.accounts[f].invoked_minutes)
+        << f;
+    EXPECT_EQ(a.accounts[f].cold_starts, b.accounts[f].cold_starts) << f;
+    EXPECT_EQ(a.accounts[f].loaded_minutes, b.accounts[f].loaded_minutes)
+        << f;
+    EXPECT_EQ(a.accounts[f].wasted_minutes, b.accounts[f].wasted_minutes)
+        << f;
+  }
+  EXPECT_EQ(a.memory_series, b.memory_series);
+  ASSERT_EQ(a.latency == nullptr, b.latency == nullptr);
+  if (a.latency != nullptr) EXPECT_TRUE(*a.latency == *b.latency);
+}
+
+void ExpectSameOutcomes(const std::vector<SimulationOutcome>& a,
+                        const std::vector<SimulationOutcome>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t k = 0; k < a.size(); ++k) {
+    SCOPED_TRACE("lane " + std::to_string(k));
+    ExpectSameOutcome(a[k], b[k]);
+  }
+}
+
+TEST(SimStreamTest, FailedRestoreLeavesTheStreamExactlyAsItWas) {
+  const Trace trace = GeneratedFleet();
+  const std::vector<std::string> specs = {"spes",
+                                          "fixed_keepalive{minutes=10}"};
+  // A checkpoint from later in the window whose lane 1 carries a corrupt
+  // (truncated) policy or latency blob: lane 0 installs fine, lane 1
+  // fails, so lane 0 must be rolled back.
+  Lanes origin_lanes(specs);
+  SimStream origin =
+      SimStream::Create(trace, origin_lanes.policies, LatencyOptions(1))
+          .ValueOrDie();
+  ASSERT_TRUE(origin.RunUntil(2100).ok());
+  const SimCheckpoint good = origin.Checkpoint().ValueOrDie();
+  for (const bool corrupt_policy : {true, false}) {
+    SCOPED_TRACE(corrupt_policy ? "policy blob" : "latency blob");
+    SimCheckpoint bad = good;
+    std::string& blob = corrupt_policy ? bad.lanes[1].policy_state
+                                       : bad.lanes[1].latency_state;
+    blob.resize(blob.size() / 2);
+
+    Lanes lanes(specs);
+    Lanes reference_lanes(specs);
+    SimStream stream =
+        SimStream::Create(trace, lanes.policies, LatencyOptions(2))
+            .ValueOrDie();
+    SimStream uninterrupted =
+        SimStream::Create(trace, reference_lanes.policies, LatencyOptions(2))
+            .ValueOrDie();
+    ASSERT_TRUE(stream.RunUntil(1800).ok());
+    ASSERT_TRUE(uninterrupted.RunUntil(1800).ok());
+    const Status status = stream.Restore(bad);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(stream.cursor(), 1800);
+    EXPECT_EQ(CheckpointBytes(stream), CheckpointBytes(uninterrupted));
+    ExpectSameOutcomes(uninterrupted.FinishAll().ValueOrDie(),
+                       stream.FinishAll().ValueOrDie());
+  }
+}
+
+// ---------------------------------------------------------------------
+// Parallel lockstep lanes: every step_threads value gives the same run
+// ---------------------------------------------------------------------
+
+constexpr int kLaneThreads[] = {1, 2, 4, 8};
+
+/// Everything one run exposes: its outcomes, each observer call as
+/// (minute, lane, cold starts, loaded) and its run log.
+struct LaneRun {
+  std::vector<SimulationOutcome> outcomes;
+  std::vector<std::vector<uint64_t>> calls;
+  std::string run_log;
+};
+
+LaneRun RunLanes(const Trace& trace, const std::vector<std::string>& specs,
+                 int step_threads) {
+  // A frozen clock makes every wall-clock field of the log read zero.
+  StringLogSink sink;
+  RunRecorder::Options recorder_options;
+  recorder_options.heartbeat_minute_stride = 30;
+  RunRecorder recorder(&sink, recorder_options, [] { return 0.0; });
+  LaneRun run;
+  CallbackObserver observer([&run](const MinuteView& view) {
+    run.calls.push_back({static_cast<uint64_t>(view.minute), view.lane,
+                         view.totals.cold_starts, view.mem->Count()});
+    return true;
+  });
+  Lanes lanes(specs);
+  SimOptions options = LatencyOptions(step_threads);
+  options.recorder = &recorder;
+  SimStream stream =
+      SimStream::Create(trace, lanes.policies, options).ValueOrDie();
+  stream.AddObserver(&observer);
+  run.outcomes = stream.FinishAll().ValueOrDie();
+  recorder.Finish();
+  run.run_log = sink.contents();
+  return run;
+}
+
+TEST(SimStreamParallelLanesTest, EveryThreadCountGivesTheSameRun) {
+  const Trace trace = GeneratedFleet();
+  const std::vector<std::string> specs = {
+      "spes", "fixed_keepalive{minutes=10}", "faascache", "hybrid_histogram",
+      "defuse"};
+  const LaneRun serial = RunLanes(trace, specs, 1);
+  ASSERT_EQ(serial.outcomes.size(), specs.size());
+  EXPECT_EQ(serial.calls.size(), specs.size() * 1440u);
+  EXPECT_GT(serial.outcomes[0].latency->timeouts, 0u);
+  for (int threads : kLaneThreads) {
+    SCOPED_TRACE("step_threads " + std::to_string(threads));
+    const LaneRun run = RunLanes(trace, specs, threads);
+    ExpectSameOutcomes(serial.outcomes, run.outcomes);
+    EXPECT_EQ(serial.calls, run.calls);
+    EXPECT_EQ(serial.run_log, run.run_log);
+  }
+}
+
+TEST(SimStreamParallelLanesTest, CheckpointsDoNotDependOnTheThreadCount) {
+  // Checkpoints need checkpointable policies: SPES in two shapes, the
+  // fixed keep-alive and the oracle.
+  const Trace trace = GeneratedFleet();
+  const std::vector<std::string> specs = {"spes", "spes{theta_prewarm=5}",
+                                          "fixed_keepalive{minutes=10}",
+                                          "oracle"};
+  const int sampled[] = {1441, 1700, 2250, 2879};
+  std::vector<std::string> serial;
+  for (int threads : kLaneThreads) {
+    SCOPED_TRACE("step_threads " + std::to_string(threads));
+    Lanes lanes(specs);
+    SimStream stream =
+        SimStream::Create(trace, lanes.policies, LatencyOptions(threads))
+            .ValueOrDie();
+    for (size_t i = 0; i < std::size(sampled); ++i) {
+      ASSERT_TRUE(stream.RunUntil(sampled[i]).ok());
+      const std::string bytes = CheckpointBytes(stream);
+      if (threads == 1) {
+        serial.push_back(bytes);
+      } else {
+        EXPECT_EQ(bytes, serial[i]) << "minute " << sampled[i];
+      }
+    }
+  }
+}
+
+/// Records the thread each OnMinute() call ran on.
+class ThreadRecordingPolicy : public FixedKeepAlivePolicy {
+ public:
+  ThreadRecordingPolicy() : FixedKeepAlivePolicy(2) {}
+  void OnMinute(int t, const std::vector<Invocation>& arrivals,
+                MemSet* mem) override {
+    threads_.push_back(std::this_thread::get_id());
+    FixedKeepAlivePolicy::OnMinute(t, arrivals, mem);
+  }
+  const std::vector<std::thread::id>& threads() const { return threads_; }
+
+ private:
+  std::vector<std::thread::id> threads_;
+};
+
+TEST(SimStreamParallelLanesTest, LanesFanOutAndASingleLaneStaysOnTheCaller) {
+  Trace trace = MakeTrace({{1, 0, 1, 0, 1, 0}, {0, 1, 0, 1, 0, 1}});
+  const std::thread::id caller = std::this_thread::get_id();
+  {
+    // One lane never starts a pool, whatever step_threads asks for.
+    ThreadRecordingPolicy only;
+    SimOptions options = Window(0);
+    options.step_threads = 8;
+    SimStream stream = SimStream::Create(trace, &only, options).ValueOrDie();
+    ASSERT_TRUE(stream.Finish().ok());
+    ASSERT_EQ(only.threads().size(), 6u);
+    for (const std::thread::id id : only.threads()) EXPECT_EQ(id, caller);
+  }
+  {
+    // Lane k runs on participant k % threads; participant 0 is the caller.
+    ThreadRecordingPolicy a, b;
+    SimOptions options = Window(0);
+    options.step_threads = 2;
+    SimStream stream =
+        SimStream::Create(trace, {&a, &b}, options).ValueOrDie();
+    ASSERT_TRUE(stream.FinishAll().ok());
+    ASSERT_EQ(b.threads().size(), 6u);
+    for (const std::thread::id id : a.threads()) EXPECT_EQ(id, caller);
+    for (const std::thread::id id : b.threads()) {
+      EXPECT_NE(id, caller);
+      EXPECT_EQ(id, b.threads()[0]);  // one persistent worker
+    }
+  }
 }
 
 }  // namespace
