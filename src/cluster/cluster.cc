@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/binary_io.h"
-#include "obs/recorder.h"
 
 namespace spes {
 
@@ -480,11 +479,11 @@ void ClusterSession::StepLaneAt(size_t k, int t) {
   // The eviction hook stamps the LRU clock with this minute's arrivals,
   // then sheds idle instances above the node's capacity.
   StepLane(lane, t, node.arrivals, options_.pin_executing_functions,
-           [this, k, t] {
+           [this, k](int minute) {
              for (const Invocation& inv : nodes_[k].arrivals) {
-               nodes_[k].last_used[inv.function] = t;
+               nodes_[k].last_used[inv.function] = minute;
              }
-             EnforceCapacity(k, t);
+             EnforceCapacity(k, minute);
            });
 }
 
@@ -494,10 +493,7 @@ const std::vector<Invocation>* ClusterSession::ReportedArrivals(
 }
 
 Result<ClusterOutcome> ClusterSession::Finish() {
-  SPES_RETURN_NOT_OK(RunToFinish());
-  const ScopedSpan finish_span(options_.recorder, "finish",
-                               options_.recorder_slot, 0);
-
+  SPES_ASSIGN_OR_RETURN(std::vector<SimulationOutcome> sims, FinishLanes());
   const size_t n = source_->num_functions();
   const std::string policy_name = lanes_[0].policy->name();
 
@@ -526,7 +522,7 @@ Result<ClusterOutcome> ClusterSession::Finish() {
     out.pressure_evictions = node.pressure_evictions;
     out.reroutes_in = node.reroutes_in;
     fleet_overhead += lanes_[k].overhead_seconds;
-    out.sim = TakeLaneOutcome(k);
+    out.sim = std::move(sims[k]);
     for (size_t f = 0; f < n; ++f) {
       const FunctionAccount& acc = out.sim.accounts[f];
       FunctionAccount& agg = fleet_accounts[f];
@@ -545,6 +541,7 @@ Result<ClusterOutcome> ClusterSession::Finish() {
       MergeLatencyOutcome(&fleet_latency, *out.sim.latency);
     }
     out.policy = std::move(node.policy);
+    lanes_[k].policy = nullptr;  // the outcome owns it now
     outcome.nodes.push_back(std::move(out));
   }
 
@@ -556,12 +553,6 @@ Result<ClusterOutcome> ClusterSession::Finish() {
     FinalizeLatencyOutcome(&fleet_latency);
     outcome.fleet.latency =
         std::make_shared<const LatencyOutcome>(std::move(fleet_latency));
-  }
-
-  for (SimObserver* observer : observers_) {
-    for (size_t k = 0; k < outcome.nodes.size(); ++k) {
-      observer->OnStreamEnd(k, outcome.nodes[k].sim);
-    }
   }
   return outcome;
 }
@@ -687,11 +678,10 @@ Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes) {
   SPES_RETURN_NOT_OK(ReadI32s(r, &checkpoint.assignment));
   // Minimal encoded node: 117 bytes (empty name/blob/vector prefixes +
   // state + capacity + totals + overhead + cluster counters) — bounds
-  // reserve() against corrupt counts.
+  // resize() against corrupt counts.
   SPES_ASSIGN_OR_RETURN(const uint64_t num_nodes, r.Length(117));
-  checkpoint.nodes.reserve(num_nodes);
-  for (uint64_t k = 0; k < num_nodes; ++k) {
-    ClusterCheckpoint::Node node;
+  checkpoint.nodes.resize(num_nodes);
+  for (ClusterCheckpoint::Node& node : checkpoint.nodes) {
     SPES_ASSIGN_OR_RETURN(node.policy_name, r.Bytes());
     SPES_ASSIGN_OR_RETURN(node.state, r.U8());
     SPES_ASSIGN_OR_RETURN(node.capacity, r.I32());
@@ -702,7 +692,6 @@ Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes) {
     SPES_ASSIGN_OR_RETURN(node.reroutes_in, r.U64());
     SPES_ASSIGN_OR_RETURN(node.policy_state, r.Bytes());
     SPES_ASSIGN_OR_RETURN(node.latency_state, r.Bytes());
-    checkpoint.nodes.push_back(std::move(node));
   }
   SPES_RETURN_NOT_OK(ExpectCheckpointEnd(r, "cluster checkpoint"));
   return checkpoint;

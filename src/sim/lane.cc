@@ -24,7 +24,7 @@ int ResolveStepThreads(int requested, size_t lanes) {
 }  // namespace
 
 void StepLane(Lane& lane, int t, const std::vector<Invocation>& arrivals,
-              bool pin, const std::function<void()>& evict_hook) {
+              bool pin, const std::function<void(int)>& evict_hook) {
   LaneColumns& cols = lane.cols;
 
   // 1. Cold-start accounting; execution loads the instance. The cold
@@ -55,7 +55,7 @@ void StepLane(Lane& lane, int t, const std::vector<Invocation>& arrivals,
   if (pin) {
     for (const Invocation& inv : arrivals) lane.mem.Add(inv.function);
   }
-  if (evict_hook) evict_hook();
+  if (evict_hook) evict_hook(t);
 
   // 5. Residency: a word-at-a-time bitset diff opens/closes residency
   // intervals, live totals come from the maintained popcount, and the
@@ -352,6 +352,15 @@ Status LaneSession::StepLocked() {
   return Status::OK();
 }
 
+void LaneSession::StepLaneAt(size_t k, int t) {
+  StepLane(lanes_[k], t, arrivals_, options_.pin_executing_functions);
+}
+
+const std::vector<Invocation>* LaneSession::ReportedArrivals(size_t k) const {
+  (void)k;
+  return &arrivals_;
+}
+
 bool LaneSession::EmitLaneMinute(size_t k, int t,
                                  const std::vector<Invocation>& arrivals) {
   Lane& lane = lanes_[k];
@@ -399,7 +408,7 @@ bool LaneSession::EmitLaneMinute(size_t k, int t,
   return keep_going;
 }
 
-Status LaneSession::RunToFinish() {
+Result<std::vector<SimulationOutcome>> LaneSession::FinishLanes() {
   if (finished_) {
     return Status::OutOfRange(std::string(names_.kind) +
                               " was already consumed by Finish()");
@@ -421,22 +430,28 @@ Status LaneSession::RunToFinish() {
                                     decoder_.blocks_decoded(),
                                     decoder_.invocations_decoded());
   }
-  return Status::OK();
-}
-
-SimulationOutcome LaneSession::TakeLaneOutcome(size_t k) {
-  Lane& lane = lanes_[k];
-  SimulationOutcome outcome;
-  lane.cols.Materialize(cursor_, lane.mem, &outcome.accounts);
-  outcome.metrics = ComputeFleetMetrics(lane.policy->name(), outcome.accounts,
-                                        lane.memory_series,
-                                        lane.overhead_seconds);
-  outcome.memory_series = std::move(lane.memory_series);
-  if (lane.latency != nullptr) {
-    outcome.latency =
-        std::make_shared<const LatencyOutcome>(lane.latency->TakeOutcome());
+  const ScopedSpan finish_span(options_.recorder, "finish",
+                               options_.recorder_slot, 0);
+  std::vector<SimulationOutcome> outcomes(lanes_.size());
+  for (size_t k = 0; k < lanes_.size(); ++k) {
+    Lane& lane = lanes_[k];
+    SimulationOutcome& outcome = outcomes[k];
+    lane.cols.Materialize(cursor_, lane.mem, &outcome.accounts);
+    outcome.metrics = ComputeFleetMetrics(lane.policy->name(),
+                                          outcome.accounts, lane.memory_series,
+                                          lane.overhead_seconds);
+    outcome.memory_series = std::move(lane.memory_series);
+    if (lane.latency != nullptr) {
+      outcome.latency =
+          std::make_shared<const LatencyOutcome>(lane.latency->TakeOutcome());
+    }
   }
-  return outcome;
+  for (SimObserver* observer : observers_) {
+    for (size_t k = 0; k < outcomes.size(); ++k) {
+      observer->OnStreamEnd(k, outcomes[k]);
+    }
+  }
+  return outcomes;
 }
 
 // ---------------------------------------------------------------------------

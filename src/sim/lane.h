@@ -48,11 +48,11 @@ struct Lane {
 };
 
 /// \brief Simulates minute `t` of `lane` over its `arrivals`: cold starts,
-/// the timed policy step, pinning (when `pin`), `evict_hook` (when set),
-/// residency and the memory series, then the latency lane. Touches only
-/// `lane` and what the hook touches, so lanes may step concurrently.
+/// the timed policy step, pinning (when `pin`), `evict_hook(t)` (when
+/// set), residency and the memory series, then the latency lane. Touches
+/// only `lane` and what the hook touches, so lanes may step concurrently.
 void StepLane(Lane& lane, int t, const std::vector<Invocation>& arrivals,
-              bool pin, const std::function<void()>& evict_hook = {});
+              bool pin, const std::function<void(int)>& evict_hook = {});
 
 /// \brief One lane's state in a checkpoint: every engine counter plus the
 /// policy's and latency lane's serialized state.
@@ -170,19 +170,18 @@ class LaneSession {
     (void)t;
     return Status::OK();
   }
-  /// Phase 2 for lane `k`: StepLane or its cluster equivalent. Runs on
-  /// any participant thread; must touch only lane `k`'s state.
-  virtual void StepLaneAt(size_t k, int t) = 0;
-  /// Phase 3: the arrivals lane `k` saw this minute, or null when it is
-  /// not reported (a dead cluster node).
-  virtual const std::vector<Invocation>* ReportedArrivals(size_t k) const = 0;
+  /// Phase 2 for lane `k`: StepLane over the shared decode (a cluster
+  /// steps a node over its routed arrivals instead). Runs on any
+  /// participant thread; must touch only lane `k`'s state.
+  virtual void StepLaneAt(size_t k, int t);
+  /// Phase 3: the arrivals lane `k` saw this minute (the shared decode),
+  /// or null when it is not reported (a dead cluster node).
+  virtual const std::vector<Invocation>* ReportedArrivals(size_t k) const;
 
-  /// Runs to the end of the window (unless stopped) and marks the session
-  /// consumed: the shared prologue of Finish()/FinishAll().
-  Status RunToFinish();
-
-  /// The outcome of lane `k` at the cursor; moves its series out.
-  SimulationOutcome TakeLaneOutcome(size_t k);
+  /// Runs to the end of the window (unless stopped), consumes the session
+  /// and returns every lane's outcome in lane order, each also handed to
+  /// the observers' OnStreamEnd.
+  Result<std::vector<SimulationOutcome>> FinishLanes();
 
   /// \name The checkpoint lane path
   /// @{
@@ -245,7 +244,7 @@ class LaneSession {
   std::unique_ptr<ForkJoinPool> pool_;
   std::string simulate_label_;
   /// Open "simulate" span token when SimOptions.recorder is set; closed
-  /// by RunToFinish(). Observability only — never feeds sim state.
+  /// by FinishLanes(). Observability only — never feeds sim state.
   uint64_t simulate_span_ = 0;
 };
 

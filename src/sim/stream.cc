@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/binary_io.h"
-#include "obs/recorder.h"
 
 namespace spes {
 
@@ -25,10 +24,8 @@ Status ValidateStreamPolicies(const std::vector<Policy*>& policies) {
   }
   for (size_t i = 0; i < policies.size(); ++i) {
     if (policies[i] == nullptr) {
-      return Status::InvalidArgument(
-          policies.size() == 1
-              ? "policy must not be null"
-              : "policy must not be null (lane " + std::to_string(i) + ")");
+      return Status::InvalidArgument("policy must not be null (lane " +
+                                     std::to_string(i) + ")");
     }
     for (size_t j = 0; j < i; ++j) {
       if (policies[j] == policies[i]) {
@@ -109,15 +106,6 @@ Result<SimStream> SimStream::CreateImpl(TraceSource* source,
   return stream;
 }
 
-void SimStream::StepLaneAt(size_t k, int t) {
-  StepLane(lanes_[k], t, arrivals_, options_.pin_executing_functions);
-}
-
-const std::vector<Invocation>* SimStream::ReportedArrivals(size_t k) const {
-  (void)k;
-  return &arrivals_;
-}
-
 FleetMetrics SimStream::SnapshotMetrics(size_t lane_index) const {
   const Lane& lane = lanes_[lane_index];
   std::vector<FunctionAccount> accounts;
@@ -127,20 +115,7 @@ FleetMetrics SimStream::SnapshotMetrics(size_t lane_index) const {
 }
 
 Result<std::vector<SimulationOutcome>> SimStream::FinishAll() {
-  SPES_RETURN_NOT_OK(RunToFinish());
-  const ScopedSpan finish_span(options_.recorder, "finish",
-                               options_.recorder_slot, 0);
-  std::vector<SimulationOutcome> outcomes;
-  outcomes.reserve(lanes_.size());
-  for (size_t k = 0; k < lanes_.size(); ++k) {
-    outcomes.push_back(TakeLaneOutcome(k));
-  }
-  for (SimObserver* observer : observers_) {
-    for (size_t lane = 0; lane < outcomes.size(); ++lane) {
-      observer->OnStreamEnd(lane, outcomes[lane]);
-    }
-  }
-  return outcomes;
+  return FinishLanes();
 }
 
 Result<SimulationOutcome> SimStream::Finish() {
@@ -200,11 +175,10 @@ Result<SimCheckpoint> ParseCheckpoint(const std::string& bytes) {
   SimCheckpoint checkpoint;
   SPES_RETURN_NOT_OK(ReadCheckpointCursor(r, &checkpoint));
   // Minimal encoded lane: 80 bytes (empty name/blob/vector prefixes +
-  // totals + overhead) — bounds reserve() against corrupt counts.
+  // totals + overhead) — bounds resize() against corrupt counts.
   SPES_ASSIGN_OR_RETURN(const uint64_t num_lanes, r.Length(80));
-  checkpoint.lanes.reserve(num_lanes);
-  for (uint64_t i = 0; i < num_lanes; ++i) {
-    SimCheckpoint::Lane lane;
+  checkpoint.lanes.resize(num_lanes);
+  for (SimCheckpoint::Lane& lane : checkpoint.lanes) {
     SPES_ASSIGN_OR_RETURN(lane.policy_name, r.Bytes());
     SPES_RETURN_NOT_OK(ReadLaneCounters(r, &lane));
     SPES_RETURN_NOT_OK(ReadLaneTotals(r, &lane));
@@ -212,7 +186,6 @@ Result<SimCheckpoint> ParseCheckpoint(const std::string& bytes) {
     if (version >= kCheckpointVersionLatency) {
       SPES_ASSIGN_OR_RETURN(lane.latency_state, r.Bytes());
     }
-    checkpoint.lanes.push_back(std::move(lane));
   }
   SPES_RETURN_NOT_OK(ExpectCheckpointEnd(r, "checkpoint"));
   return checkpoint;

@@ -149,9 +149,6 @@ class SimStream : public LaneSession {
                                       const Trace* full_trace,
                                       std::vector<Policy*> policies,
                                       const SimOptions& options);
-
-  void StepLaneAt(size_t k, int t) override;
-  const std::vector<Invocation>* ReportedArrivals(size_t k) const override;
 };
 
 }  // namespace spes
