@@ -593,7 +593,9 @@ void ExpectSameOutcome(const SimulationOutcome& a, const SimulationOutcome& b) {
   }
   EXPECT_EQ(a.memory_series, b.memory_series);
   ASSERT_EQ(a.latency == nullptr, b.latency == nullptr);
-  if (a.latency != nullptr) EXPECT_TRUE(*a.latency == *b.latency);
+  if (a.latency != nullptr) {
+    EXPECT_TRUE(*a.latency == *b.latency);
+  }
 }
 
 void ExpectSameOutcomes(const std::vector<SimulationOutcome>& a,
