@@ -33,10 +33,10 @@ int main(int argc, char** argv) {
   Table table({"policy", "total overhead (s)", "overhead (s/sim-minute)",
                "complexity per minute"});
   const char* complexity[] = {
-      "O(n) rule lookups",          // SPES
-      "O(n) + histogram updates",   // Defuse
-      "O(n) histogram windows",     // HF
-      "O(apps) histogram windows",  // HA
+      "O(arrivals + wake-ups + loaded)",   // SPES (event-driven step)
+      "O(n) + histogram updates",          // Defuse
+      "O(n) histogram windows",            // HF
+      "O(apps) histogram windows",         // HA
       "O(resident) timer scan",            // Fixed
       "O(resident) GDSF scan on pressure"  // FaasCache
   };

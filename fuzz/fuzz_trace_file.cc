@@ -8,6 +8,9 @@
 //     clean InvalidArgument statuses).
 //   * A materialized prefix re-packs into an image that parses and
 //     reports the same function count.
+//   * The training window of the first block expands to exactly the
+//     materialized prefix's counts, and holds no byte beyond its decoded
+//     cells and one offset per function, whatever the header claims.
 
 #include <algorithm>
 #include <cstdint>
@@ -19,6 +22,7 @@
 #include "trace/trace.h"
 #include "trace/trace_file.h"
 #include "trace/trace_source.h"
+#include "trace/training_window.h"
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data), size);
@@ -69,9 +73,28 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (!decode_failed) {
     // Materialize + re-pack: the round trip must parse and preserve the
     // population shape.
-    auto prefix = source->MaterializePrefix(
-        std::min(source->num_minutes(), source->block_minutes()));
+    const int first_block =
+        std::min(source->num_minutes(), source->block_minutes());
+    auto prefix = source->MaterializePrefix(first_block);
     FUZZ_ASSERT(prefix.ok());
+
+    auto window = spes::TrainingWindow::Build(*source, first_block);
+    FUZZ_ASSERT(window.ok());
+    uint64_t cells = 0;
+    std::vector<uint32_t> row;
+    for (size_t f = 0; f < prefix.ValueOrDie().num_functions(); ++f) {
+      const std::vector<uint32_t>& counts =
+          prefix.ValueOrDie().function(f).counts;
+      window.ValueOrDie().ExpandRow(f, 0, first_block, &row);
+      FUZZ_ASSERT(row == counts);
+      cells += static_cast<uint64_t>(
+          std::count_if(counts.begin(), counts.end(),
+                        [](uint32_t c) { return c > 0; }));
+    }
+    FUZZ_ASSERT(window.ValueOrDie().num_cells() == cells);
+    FUZZ_ASSERT(window.ValueOrDie().bytes() ==
+                cells * sizeof(spes::ArrivalSlot) +
+                    (source->num_functions() + 1) * sizeof(uint64_t));
     auto writer = spes::TraceFileWriter::Create(
         prefix.ValueOrDie().num_minutes());
     FUZZ_ASSERT(writer.ok());

@@ -265,16 +265,6 @@ Result<ClusterSession> ClusterSession::CreateImpl(
   SPES_ASSIGN_OR_RETURN(std::unique_ptr<Router> router,
                         RouterRegistry::Global().Create(cluster.router));
 
-  // Streamed sources only materialize the train prefix — once, shared by
-  // every node's policy. The in-memory overload keeps handing policies
-  // the real full trace, preserving oracle behaviour bit for bit.
-  Trace train_prefix;
-  if (full_trace == nullptr) {
-    SPES_ASSIGN_OR_RETURN(train_prefix,
-                          source->MaterializePrefix(options.train_minutes));
-  }
-  const Trace& training = full_trace != nullptr ? *full_trace : train_prefix;
-
   ClusterSession session(source, std::move(owned), options, end);
   session.router_ = std::move(router);
   session.events_ = cluster.events;
@@ -305,13 +295,12 @@ Result<ClusterSession> ClusterSession::CreateImpl(
       ++add_index;
     }
     SPES_ASSIGN_OR_RETURN(node.policy, PolicyRegistry::Global().Create(policy));
-    SPES_RETURN_NOT_OK(session.AddLane(node.policy.get(), training,
-                                       /*streamed=*/full_trace == nullptr));
+    session.AddLane(node.policy.get());
     node.last_used.assign(n, -1);
     session.nodes_.push_back(std::move(node));
   }
-  SPES_RETURN_NOT_OK(
-      session.FinishCreate(std::to_string(total_nodes) + "-node cluster"));
+  SPES_RETURN_NOT_OK(session.FinishCreate(
+      std::to_string(total_nodes) + "-node cluster", full_trace));
   return session;
 }
 

@@ -180,7 +180,7 @@ Result<ClusterCheckpoint> ParseClusterCheckpoint(const std::string& bytes);
 /// \brief An open, incrementally drivable cluster simulation. Create()
 /// builds one policy instance per node (including nodes that join later)
 /// from `policy` through PolicyRegistry::Global(), trains each on the
-/// trace prefix, builds the router, and positions the cursor at the
+/// training window, builds the router, and positions the cursor at the
 /// first simulated minute. The trace and observers are borrowed and must
 /// outlive the session. Not thread-safe: callers still drive each session
 /// from one thread. Each node is an engine lane (sim/lane.h): a minute
@@ -197,8 +197,9 @@ class ClusterSession : public LaneSession {
 
   /// \brief Streamed form over any TraceSource (e.g. a packed trace file):
   /// arrivals are pulled in chunked minute windows instead of from a
-  /// realized Trace. The train prefix is materialized ONCE and shared by
-  /// every node's policy; policies whose RequiresFullTrace() is true are
+  /// realized Trace. The training window is decoded ONCE, and only when
+  /// the node policy needs it (NeedsTrainingWindow()), and shared by every
+  /// node's policy; policies whose RequiresFullTrace() is true are
   /// rejected with InvalidArgument. The source must outlive the session.
   /// Outcomes are bitwise-identical to the in-memory overload.
   static Result<ClusterSession> Create(TraceSource& source,
@@ -260,10 +261,10 @@ class ClusterSession : public LaneSession {
   ClusterSession(TraceSource* source, std::unique_ptr<TraceSource> owned,
                  const SimOptions& options, int end);
 
-  /// Shared body of the Create() overloads. `full_trace` is non-null for
-  /// the in-memory path (policies then train on the real full trace);
-  /// when null, the train prefix is materialized from `source` and
-  /// RequiresFullTrace() policies are rejected.
+  /// Shared body of the Create() overloads. Every policy trains on the
+  /// training window decoded from `source`, except that on the in-memory
+  /// path (`full_trace` non-null) a RequiresFullTrace() policy trains on
+  /// the full trace; a streamed session (null) rejects such policies.
   static Result<ClusterSession> CreateImpl(TraceSource* source,
                                            std::unique_ptr<TraceSource> owned,
                                            const Trace* full_trace,

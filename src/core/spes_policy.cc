@@ -118,8 +118,9 @@ bool SpesPolicy::PredictNearInvocation(const FunctionState& state,
   return false;
 }
 
-void SpesPolicy::Train(const Trace& trace, int train_minutes) {
-  const size_t n = trace.num_functions();
+void SpesPolicy::Train(const TrainingWindow& window) {
+  const size_t n = window.num_functions();
+  const int train_minutes = window.train_minutes();
   states_.assign(n, FunctionState{});
   links_by_candidate_.assign(n, {});
   online_corr_.clear();
@@ -130,10 +131,14 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
       std::max(0, train_minutes - config_.validation_minutes);
 
   // --- Pass 1: features + deterministic categorization. --------------------
+  // Each function's slots expand into one reused dense row, so the series
+  // code sees exactly the counts a dense training prefix holds.
   std::vector<std::vector<int64_t>> training_wts(n);
   std::vector<size_t> indeterminate;
+  std::vector<uint32_t> row;
   for (size_t f = 0; f < n; ++f) {
-    const auto counts = trace.Slice(f, 0, train_minutes);
+    window.ExpandRow(f, 0, train_minutes, &row);
+    const std::span<const uint32_t> counts(row);
     const SeriesFeatures features = ExtractSeriesFeatures(counts);
     FunctionState& st = states_[f];
     st.seen_in_training = features.total_invocations > 0;
@@ -161,32 +166,36 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
   }
 
   // --- Pass 2: indeterminate assignment by validation replay. --------------
-  const auto by_app = trace.GroupByApp();
-  const auto by_owner = trace.GroupByOwner();
+  // The target's slots come straight from the window; its dense row and
+  // each candidate's expand into scratch.
+  const auto by_app = window.GroupByApp();
+  const auto by_owner = window.GroupByOwner();
+  std::vector<uint32_t> target_row;
+  std::vector<uint32_t> candidate_row;
+  std::vector<std::vector<uint32_t>> link_rows;
   for (size_t f : indeterminate) {
     FunctionState& st = states_[f];
-    const auto validation = trace.Slice(f, validation_begin, train_minutes);
+    window.ExpandRow(f, 0, train_minutes, &target_row);
+    const std::span<const uint32_t> target_slice(target_row);
+    const auto validation = target_slice.subspan(
+        static_cast<size_t>(validation_begin));
 
     // Candidate functions: share the application or owner (§IV-B D2).
     std::vector<CorrelationLink> links;
     if (config_.enable_correlated) {
-      const std::vector<int> target_slots_vec = [&] {
-        std::vector<int> slots;
-        const auto train_slice = trace.Slice(f, 0, train_minutes);
-        for (size_t t = 0; t < train_slice.size(); ++t) {
-          if (train_slice[t] > 0) slots.push_back(static_cast<int>(t));
-        }
-        return slots;
-      }();
+      std::vector<int> target_slots_vec;
+      for (const ArrivalSlot& slot : window.slots(f)) {
+        target_slots_vec.push_back(slot.minute);
+      }
       if (static_cast<int>(target_slots_vec.size()) >=
           config_.tcor_min_target_arrivals) {
         std::vector<size_t> candidates;
-        auto app_it = by_app.find(trace.function(f).meta.app);
+        auto app_it = by_app.find(window.meta(f).app);
         if (app_it != by_app.end()) {
           candidates.insert(candidates.end(), app_it->second.begin(),
                             app_it->second.end());
         }
-        auto owner_it = by_owner.find(trace.function(f).meta.owner);
+        auto owner_it = by_owner.find(window.meta(f).owner);
         if (owner_it != by_owner.end()) {
           candidates.insert(candidates.end(), owner_it->second.begin(),
                             owner_it->second.end());
@@ -196,7 +205,8 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
                          candidates.end());
         for (size_t c : candidates) {
           if (c == f || !states_[c].seen_in_training) continue;
-          const auto candidate_slice = trace.Slice(c, 0, train_minutes);
+          window.ExpandRow(c, 0, train_minutes, &candidate_row);
+          const std::span<const uint32_t> candidate_slice(candidate_row);
           const BestLag best = BestLaggedCorFromSlots(
               target_slots_vec, candidate_slice, config_.tcor_max_lag);
           if (best.cor < config_.tcor_threshold) continue;
@@ -204,7 +214,6 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
           // precede a target invocation? (Guards against hyperactive
           // candidates that would pre-warm the target non-stop.)
           int64_t cand_fires = 0, followed = 0;
-          const auto target_slice = trace.Slice(f, 0, train_minutes);
           for (size_t s = 0; s < candidate_slice.size(); ++s) {
             if (candidate_slice[s] == 0) continue;
             ++cand_fires;
@@ -235,12 +244,14 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
         validation,
         config_.theta_givenup_pulsed * std::max(1, config_.givenup_scaler));
     // D2: correlated replay over the validation slices of linked functions.
+    if (link_rows.size() < links.size()) link_rows.resize(links.size());
     std::vector<std::span<const uint32_t>> cand_validation;
     std::vector<int> lags;
-    for (const CorrelationLink& link : links) {
-      cand_validation.push_back(
-          trace.Slice(link.candidate, validation_begin, train_minutes));
-      lags.push_back(link.lag);
+    for (size_t k = 0; k < links.size(); ++k) {
+      window.ExpandRow(links[k].candidate, validation_begin, train_minutes,
+                       &link_rows[k]);
+      cand_validation.emplace_back(link_rows[k]);
+      lags.push_back(links[k].lag);
     }
     const StrategyCost correlated =
         ReplayCorrelated(validation, cand_validation, lags,
@@ -291,11 +302,11 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
       }
       OnlineCorrState corr;
       corr.target = static_cast<uint32_t>(f);
-      const TriggerType trigger = trace.function(f).meta.trigger;
+      const TriggerType trigger = window.meta(f).trigger;
       // Prefer same-app, then same-owner, then any same-trigger function.
       auto consider = [&](size_t c) {
         if (c == f || !states_[c].seen_in_training) return;
-        if (trace.function(c).meta.trigger != trigger) return;
+        if (window.meta(c).trigger != trigger) return;
         if (static_cast<int>(corr.candidates.size()) >=
             config_.online_corr_max_candidates) {
           return;
@@ -306,11 +317,11 @@ void SpesPolicy::Train(const Trace& trace, int train_minutes) {
           corr.candidates.push_back(cand);
         }
       };
-      auto app_it = by_app.find(trace.function(f).meta.app);
+      auto app_it = by_app.find(window.meta(f).app);
       if (app_it != by_app.end()) {
         for (size_t c : app_it->second) consider(c);
       }
-      auto owner_it = by_owner.find(trace.function(f).meta.owner);
+      auto owner_it = by_owner.find(window.meta(f).owner);
       if (owner_it != by_owner.end()) {
         for (size_t c : owner_it->second) consider(c);
       }

@@ -50,7 +50,8 @@ class SpesPolicy : public Policy {
   explicit SpesPolicy(SpesConfig config = {});
 
   [[nodiscard]] std::string name() const override { return "SPES"; }
-  void Train(const Trace& trace, int train_minutes) override;
+  using Policy::Train;
+  void Train(const TrainingWindow& window) override;
   void OnMinute(int t, const std::vector<Invocation>& arrivals,
                 MemSet* mem) override;
 

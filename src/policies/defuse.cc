@@ -72,40 +72,30 @@ DefusePolicy::DefusePolicy(DefuseOptions options)
 
 std::string DefusePolicy::name() const { return "Defuse"; }
 
-void DefusePolicy::Train(const Trace& trace, int train_minutes) {
-  const size_t n = trace.num_functions();
-  keepalive_.Train(trace, train_minutes);
+void DefusePolicy::Train(const TrainingWindow& window) {
+  const size_t n = window.num_functions();
+  keepalive_.Train(window);
   prewarm_hold_until_.assign(n, -1);
   successors_.assign(n, {});
 
-  // Per-function arrival minutes for dependency mining.
-  std::vector<std::vector<int>> arrival_minutes(n);
-  for (size_t f = 0; f < n; ++f) {
-    const auto& counts = trace.function(f).counts;
-    for (int t = 0; t < train_minutes; ++t) {
-      if (counts[static_cast<size_t>(t)] > 0) {
-        arrival_minutes[f].push_back(t);
-      }
-    }
-  }
-
-  // Strong-dependency mining over same-app pairs.
-  for (const auto& [app, members] : trace.GroupByApp()) {
+  // Strong-dependency mining over same-app pairs; a function's arrival
+  // minutes are its window slots.
+  for (const auto& [app, members] : window.GroupByApp()) {
     if (members.size() < 2) continue;
     for (size_t a : members) {
-      const auto& a_times = arrival_minutes[a];
+      const std::span<const ArrivalSlot> a_times = window.slots(a);
       if (static_cast<int>(a_times.size()) < options_.min_support) continue;
       for (size_t b : members) {
         if (a == b) continue;
-        const auto& b_times = arrival_minutes[b];
+        const std::span<const ArrivalSlot> b_times = window.slots(b);
         if (b_times.empty()) continue;
         // Count A-arrivals followed by a B-arrival within the window.
         int followed = 0;
         size_t j = 0;
-        for (int ta : a_times) {
-          while (j < b_times.size() && b_times[j] <= ta) ++j;
+        for (const ArrivalSlot& ta : a_times) {
+          while (j < b_times.size() && b_times[j].minute <= ta.minute) ++j;
           if (j < b_times.size() &&
-              b_times[j] - ta <= options_.dependency_window) {
+              b_times[j].minute - ta.minute <= options_.dependency_window) {
             ++followed;
           }
         }

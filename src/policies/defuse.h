@@ -51,7 +51,8 @@ class DefusePolicy : public Policy {
   explicit DefusePolicy(DefuseOptions options = {});
 
   [[nodiscard]] std::string name() const override;
-  void Train(const Trace& trace, int train_minutes) override;
+  using Policy::Train;
+  void Train(const TrainingWindow& window) override;
   void OnMinute(int t, const std::vector<Invocation>& arrivals,
                 MemSet* mem) override;
 

@@ -34,11 +34,10 @@ FaasCachePolicy::FaasCachePolicy(size_t capacity_instances)
 
 std::string FaasCachePolicy::name() const { return "FaasCache"; }
 
-void FaasCachePolicy::Train(const Trace& trace, int train_minutes) {
-  (void)train_minutes;  // FaasCache is purely online.
-  frequency_.assign(trace.num_functions(), 0.0);
-  priority_.assign(trace.num_functions(), 0.0);
-  pinned_.assign(trace.num_functions(), 0);
+void FaasCachePolicy::Train(const TrainingWindow& window) {
+  frequency_.assign(window.num_functions(), 0.0);
+  priority_.assign(window.num_functions(), 0.0);
+  pinned_.assign(window.num_functions(), 0);
   clock_ = 0.0;
 }
 

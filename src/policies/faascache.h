@@ -36,7 +36,10 @@ class FaasCachePolicy : public Policy {
   explicit FaasCachePolicy(size_t capacity_instances);
 
   [[nodiscard]] std::string name() const override;
-  void Train(const Trace& trace, int train_minutes) override;
+  using Policy::Train;
+  /// Purely online: sizes its state from the window's shape only.
+  void Train(const TrainingWindow& window) override;
+  [[nodiscard]] bool NeedsTrainingWindow() const override { return false; }
   void OnMinute(int t, const std::vector<Invocation>& arrivals,
                 MemSet* mem) override;
 

@@ -34,9 +34,8 @@ std::string FixedKeepAlivePolicy::name() const {
   return "Fixed-" + std::to_string(keepalive_minutes_) + "min";
 }
 
-void FixedKeepAlivePolicy::Train(const Trace& trace, int train_minutes) {
-  (void)train_minutes;  // No offline modelling: purely reactive.
-  last_arrival_.assign(trace.num_functions(), -1);
+void FixedKeepAlivePolicy::Train(const TrainingWindow& window) {
+  last_arrival_.assign(window.num_functions(), -1);
 }
 
 void FixedKeepAlivePolicy::OnMinute(int t,

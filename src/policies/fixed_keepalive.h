@@ -24,7 +24,10 @@ class FixedKeepAlivePolicy : public Policy {
   explicit FixedKeepAlivePolicy(int keepalive_minutes = 10);
 
   [[nodiscard]] std::string name() const override;
-  void Train(const Trace& trace, int train_minutes) override;
+  using Policy::Train;
+  /// Purely reactive: sizes its state from the window's shape only.
+  void Train(const TrainingWindow& window) override;
+  [[nodiscard]] bool NeedsTrainingWindow() const override { return false; }
   void OnMinute(int t, const std::vector<Invocation>& arrivals,
                 MemSet* mem) override;
 

@@ -122,8 +122,8 @@ void HybridHistogramPolicy::RefreshWindow(UnitState* unit) const {
   unit->unload_after = unload;
 }
 
-void HybridHistogramPolicy::Train(const Trace& trace, int train_minutes) {
-  const size_t n = trace.num_functions();
+void HybridHistogramPolicy::Train(const TrainingWindow& window) {
+  const size_t n = window.num_functions();
   unit_of_function_.assign(n, 0);
   functions_of_unit_.clear();
   units_.clear();
@@ -139,7 +139,7 @@ void HybridHistogramPolicy::Train(const Trace& trace, int train_minutes) {
   } else {
     std::unordered_map<std::string, uint32_t> app_unit;
     for (size_t f = 0; f < n; ++f) {
-      const std::string& app = trace.function(f).meta.app;
+      const std::string& app = window.meta(f).app;
       auto [it, inserted] =
           app_unit.emplace(app, static_cast<uint32_t>(units_.size()));
       if (inserted) {
@@ -152,20 +152,23 @@ void HybridHistogramPolicy::Train(const Trace& trace, int train_minutes) {
   }
   unit_arrived_.assign(units_.size(), 0);
 
-  // Offline pass: accumulate unit-level IATs over the training window.
-  std::vector<int> last(units_.size(), -1);
-  for (int t = 0; t < train_minutes; ++t) {
-    for (size_t u = 0; u < units_.size(); ++u) {
-      bool arrived = false;
-      for (uint32_t f : functions_of_unit_[u]) {
-        if (trace.function(f).counts[static_cast<size_t>(t)] > 0) {
-          arrived = true;
-          break;
-        }
+  // Offline pass: a unit's IATs are the gaps between the distinct
+  // minutes at which any of its functions arrived.
+  std::vector<int32_t> minutes;
+  for (size_t u = 0; u < units_.size(); ++u) {
+    minutes.clear();
+    for (uint32_t f : functions_of_unit_[u]) {
+      for (const ArrivalSlot& slot : window.slots(f)) {
+        minutes.push_back(slot.minute);
       }
-      if (!arrived) continue;
-      if (last[u] >= 0) units_[u].histogram.Record(t - last[u]);
-      last[u] = t;
+    }
+    if (functions_of_unit_[u].size() > 1) {
+      std::sort(minutes.begin(), minutes.end());
+      minutes.erase(std::unique(minutes.begin(), minutes.end()),
+                    minutes.end());
+    }
+    for (size_t i = 1; i < minutes.size(); ++i) {
+      units_[u].histogram.Record(minutes[i] - minutes[i - 1]);
     }
   }
   for (UnitState& unit : units_) RefreshWindow(&unit);

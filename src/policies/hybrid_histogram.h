@@ -54,7 +54,8 @@ class HybridHistogramPolicy : public Policy {
                         HybridOptions options = {});
 
   [[nodiscard]] std::string name() const override;
-  void Train(const Trace& trace, int train_minutes) override;
+  using Policy::Train;
+  void Train(const TrainingWindow& window) override;
   void OnMinute(int t, const std::vector<Invocation>& arrivals,
                 MemSet* mem) override;
 

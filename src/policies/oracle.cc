@@ -1,5 +1,6 @@
 #include "policies/oracle.h"
 
+#include <cassert>
 #include <memory>
 
 #include "core/policy_registry.h"
@@ -24,9 +25,15 @@ void OraclePolicy::Train(const Trace& trace, int train_minutes) {
   trace_ = &trace;
 }
 
+void OraclePolicy::Train(const TrainingWindow& window) {
+  (void)window;
+  trace_ = nullptr;
+}
+
 void OraclePolicy::OnMinute(int t, const std::vector<Invocation>& arrivals,
                             MemSet* mem) {
   (void)arrivals;
+  assert(trace_ != nullptr);
   const int next = t + 1;
   const bool has_next = next < trace_->num_minutes();
   for (size_t f = 0; f < trace_->num_functions(); ++f) {

@@ -26,7 +26,13 @@ class OraclePolicy : public Policy {
   OraclePolicy() = default;
 
   [[nodiscard]] std::string name() const override { return "Oracle"; }
+  /// \brief Binds the full `trace`; the only policy that overrides the
+  /// Trace form, because it reads past the training minutes.
   void Train(const Trace& trace, int train_minutes) override;
+  /// \brief A window holds no future minute, so this leaves the oracle
+  /// unbound; sessions hand a RequiresFullTrace() policy the full trace
+  /// instead, and OnMinute() requires one.
+  void Train(const TrainingWindow& window) override;
   void OnMinute(int t, const std::vector<Invocation>& arrivals,
                 MemSet* mem) override;
 

@@ -235,6 +235,17 @@ SuiteJob JobFromSpec(const ScenarioSpec& spec) {
   return job;
 }
 
+/// True when two specs' options may share one lockstep stream: every
+/// option a SimStream applies to all of its lanes matches. Only the
+/// recorder slot may differ (a group records under its leader's slot).
+bool SameLaneOptions(const SimOptions& a, const SimOptions& b) {
+  return a.train_minutes == b.train_minutes &&
+         a.end_minute == b.end_minute &&
+         a.pin_executing_functions == b.pin_executing_functions &&
+         a.latency == b.latency && a.recorder == b.recorder &&
+         a.step_threads == b.step_threads;
+}
+
 }  // namespace
 
 std::vector<JobResult> SuiteRunner::Run(
@@ -255,10 +266,10 @@ std::vector<JobResult> SuiteRunner::RunLockstep(
   // Lower every spec through the same JobFromSpec path as the pooled
   // batches (slot isolation: a bad spec only fails its own JobResult),
   // then group the healthy slots by engine options — lockstep lanes
-  // share one cursor, so only identical windows can ride one stream.
+  // share one cursor and one set of options, so only specs whose
+  // lane-shared options all match can ride one stream.
   std::vector<std::unique_ptr<Policy>> policies(specs.size());
   std::vector<std::vector<size_t>> groups;
-  std::vector<std::string> group_keys;
   std::vector<size_t> cluster_slots;
   std::vector<std::shared_ptr<const ScenarioSpec>> cluster_specs(specs.size());
   for (size_t slot = 0; slot < specs.size(); ++slot) {
@@ -277,20 +288,14 @@ std::vector<JobResult> SuiteRunner::RunLockstep(
     }
     policies[slot] = job.factory();
     if (result.label.empty()) result.label = policies[slot]->name();
-    const std::string key = std::to_string(spec.options.train_minutes) + "|" +
-                            std::to_string(spec.options.end_minute) + "|" +
-                            (spec.options.pin_executing_functions ? "1" : "0");
-    size_t group = group_keys.size();
-    for (size_t g = 0; g < group_keys.size(); ++g) {
-      if (group_keys[g] == key) {
+    size_t group = groups.size();
+    for (size_t g = 0; g < groups.size(); ++g) {
+      if (SameLaneOptions(specs[groups[g][0]].options, spec.options)) {
         group = g;
         break;
       }
     }
-    if (group == group_keys.size()) {
-      group_keys.push_back(key);
-      groups.emplace_back();
-    }
+    if (group == groups.size()) groups.emplace_back();
     groups[group].push_back(slot);
   }
 

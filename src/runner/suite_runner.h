@@ -103,10 +103,10 @@ class SuiteRunner {
                              const std::vector<ScenarioSpec>& specs) const;
 
   /// \brief Lockstep spec batch: instead of fanning one Simulate() per
-  /// spec across threads, specs sharing identical SimOptions become lanes
-  /// of ONE multi-policy SimStream, so each distinct window walks the
-  /// trace once — one arrival decode per minute serves every policy in
-  /// the group. Runs on the calling thread (the parallelism is across
+  /// spec across threads, specs whose SimOptions match in everything but
+  /// the recorder slot become lanes of ONE multi-policy SimStream, so
+  /// each distinct set of options walks the trace once — one arrival
+  /// decode per minute serves every policy in the group. Runs on the calling thread (the parallelism is across
   /// lanes within the walk, not across jobs). Results are slot-indexed
   /// and bitwise identical to Run(trace, specs); an invalid spec fails
   /// only its slot. Each spec's observers see only their own spec's run,

@@ -214,21 +214,7 @@ Result<int> LaneSession::ResolveWindow(int horizon,
                                 : horizon;
 }
 
-Status LaneSession::AddLane(Policy* policy, const Trace& training,
-                            bool streamed) {
-  const std::string where =
-      std::string(names_.lane) + " " + std::to_string(lanes_.size());
-  if (streamed && policy->RequiresFullTrace()) {
-    return Status::InvalidArgument(
-        "policy '" + policy->name() + "' (" + where +
-        ") requires the full realized trace, but a streamed source only "
-        "materializes the train prefix; run it over an in-memory Trace");
-  }
-  {
-    const ScopedSpan span(options_.recorder, "train", options_.recorder_slot,
-                          static_cast<int>(lanes_.size()), policy->name());
-    policy->Train(training, options_.train_minutes);
-  }
+void LaneSession::AddLane(Policy* policy) {
   const size_t n = source_->num_functions();
   Lane lane;
   lane.policy = policy;
@@ -236,10 +222,49 @@ Status LaneSession::AddLane(Policy* policy, const Trace& training,
   lane.cols.Reset(n);
   lane.memory_series.reserve(static_cast<size_t>(end_ - start_));
   lanes_.push_back(std::move(lane));
+}
+
+Status LaneSession::TrainLanes(const Trace* full_trace) {
+  // A policy that reads past the training minutes trains on the full
+  // trace; every other lane shares one window, decoded only when some
+  // lane learns from it.
+  auto wants_full_trace = [full_trace](const Policy& policy) {
+    return full_trace != nullptr && policy.RequiresFullTrace();
+  };
+  bool needs_window = false;
+  for (size_t k = 0; k < lanes_.size(); ++k) {
+    const Policy& policy = *lanes_[k].policy;
+    if (full_trace == nullptr && policy.RequiresFullTrace()) {
+      return Status::InvalidArgument(
+          "policy '" + policy.name() + "' (" + names_.lane + " " +
+          std::to_string(k) +
+          ") requires the full realized trace, but a streamed source holds "
+          "only the training window; run it over an in-memory Trace");
+    }
+    needs_window |= !wants_full_trace(policy) && policy.NeedsTrainingWindow();
+  }
+  TrainingWindow window =
+      TrainingWindow::MetadataOnly(*source_, options_.train_minutes);
+  if (needs_window) {
+    SPES_ASSIGN_OR_RETURN(
+        window, TrainingWindow::Build(*source_, options_.train_minutes));
+  }
+  for (size_t k = 0; k < lanes_.size(); ++k) {
+    Policy& policy = *lanes_[k].policy;
+    const ScopedSpan span(options_.recorder, "train", options_.recorder_slot,
+                          static_cast<int>(k), policy.name());
+    if (wants_full_trace(policy)) {
+      policy.Train(*full_trace, options_.train_minutes);
+    } else {
+      policy.Train(window);
+    }
+  }
   return Status::OK();
 }
 
-Status LaneSession::FinishCreate(std::string simulate_label) {
+Status LaneSession::FinishCreate(std::string simulate_label,
+                                 const Trace* full_trace) {
+  SPES_RETURN_NOT_OK(TrainLanes(full_trace));
   simulate_label_ = std::move(simulate_label);
   step_threads_ = ResolveStepThreads(options_.step_threads, lanes_.size());
   if (!options_.latency.has_value()) return Status::OK();

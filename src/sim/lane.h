@@ -155,13 +155,13 @@ class LaneSession {
   /// Validates `options` against `horizon` and resolves the end minute.
   static Result<int> ResolveWindow(int horizon, const SimOptions& options);
 
-  /// Trains `policy` on `training` and appends its lane. A `streamed`
-  /// session rejects policies that need the full realized trace.
-  Status AddLane(Policy* policy, const Trace& training, bool streamed);
+  /// Appends an untrained lane for `policy`.
+  void AddLane(Policy* policy);
 
-  /// Called by Create() once every lane exists: resolves the step thread
-  /// count and builds each lane's LatencyLane from options_.latency.
-  Status FinishCreate(std::string simulate_label);
+  /// Called by Create() once every lane exists: trains the lanes
+  /// (TrainLanes), resolves the step thread count and builds each lane's
+  /// LatencyLane from options_.latency.
+  Status FinishCreate(std::string simulate_label, const Trace* full_trace);
 
   /// Phase 1 after the shared decode of minute `t` into arrivals_ (a
   /// cluster applies events and routes here). A failure aborts the step
@@ -224,6 +224,11 @@ class LaneSession {
   std::vector<Invocation> arrivals_;
 
  private:
+  /// Trains every lane from one TrainingWindow decoded off the source
+  /// when some lane needs it (a metadata-only window otherwise) or, for a
+  /// RequiresFullTrace() policy, from `full_trace` — null for a streamed
+  /// session, which rejects such policies. The window is freed on return.
+  Status TrainLanes(const Trace* full_trace);
   /// Delivers OnStreamStart exactly once, before any other callback.
   void EnsureStarted();
   /// One simulated minute in the three phases.

@@ -5,6 +5,19 @@
 // arrivals and mutates the MemSet (pre-loads and evictions). The engine —
 // not the policy — accounts cold starts, so all policies are measured
 // identically.
+//
+// Training reads a TrainingWindow (trace/training_window.h): each
+// function's arrival slots over the training minutes, decoded once per
+// session and shared by its lanes. A policy that learns nothing offline
+// says so through NeedsTrainingWindow(), and a session none of whose
+// lanes needs the window decodes no training minute at all.
+//
+// Concrete policies override Train(const TrainingWindow&) only; the
+// oracle, which reads past the training minutes, also overrides the Trace
+// form to bind the full trace. The Train(const Trace&, int) overload is a
+// compatibility adapter for decorators written against the dense
+// interface (perfbench's TimedPolicy); it goes away together with
+// TimedPolicy (ROADMAP item 1).
 
 #ifndef SPES_SIM_POLICY_H_
 #define SPES_SIM_POLICY_H_
@@ -17,6 +30,7 @@
 #include "sim/memset.h"
 #include "trace/trace.h"
 #include "trace/trace_source.h"  // Invocation lives with the trace sources
+#include "trace/training_window.h"
 
 namespace spes {
 
@@ -28,9 +42,23 @@ class Policy {
   /// \brief Human-readable policy name used in reports.
   [[nodiscard]] virtual std::string name() const = 0;
 
-  /// \brief Offline phase: observe `trace` restricted to minutes
-  /// [0, train_minutes). Called exactly once before any OnMinute().
-  virtual void Train(const Trace& trace, int train_minutes) = 0;
+  /// \brief Offline phase: learn from `window`, the arrivals of minutes
+  /// [0, window.train_minutes()). Called exactly once before any
+  /// OnMinute(); the window does not outlive the call. The default
+  /// materializes the window as a dense Trace and calls the Trace
+  /// overload, so a decorator that overrides only that overload still
+  /// sees exactly the minutes it used to.
+  virtual void Train(const TrainingWindow& window);
+
+  /// \brief Compatibility adapter: builds the window of `trace` over
+  /// [0, train_minutes) through an InMemoryTraceSource (metadata only
+  /// when NeedsTrainingWindow() is false) and calls Train(window).
+  virtual void Train(const Trace& trace, int train_minutes);
+
+  /// \brief False when Train() reads nothing but the window's shape and
+  /// metadata (fixed keep-alive, FaasCache); such a policy is handed a
+  /// TrainingWindow::MetadataOnly() window.
+  [[nodiscard]] virtual bool NeedsTrainingWindow() const { return true; }
 
   /// \brief Online step for minute `t` (absolute trace minute).
   ///
@@ -63,10 +91,11 @@ class Policy {
   /// @{
   /// \brief True when the policy retains a pointer into the trained trace
   /// and reads minutes beyond the train window at OnMinute() time (the
-  /// oracle does). The streamed entry points — SimStream/ClusterSession
-  /// over a TraceSource — materialize only the train prefix, so they
-  /// reject such policies with InvalidArgument instead of silently feeding
-  /// them a horizon that ends at the train boundary.
+  /// oracle does). Sessions over an in-memory Trace hand such a policy
+  /// the full trace through Train(const Trace&, int) instead of a window.
+  /// The streamed entry points — SimStream/ClusterSession over a
+  /// TraceSource — hold no realized trace, so they reject such policies
+  /// with InvalidArgument.
   [[nodiscard]] virtual bool RequiresFullTrace() const { return false; }
 
   [[nodiscard]] virtual bool SupportsCheckpoint() const { return false; }

@@ -82,27 +82,14 @@ Result<SimStream> SimStream::CreateImpl(TraceSource* source,
   SPES_RETURN_NOT_OK(ValidateStreamPolicies(policies));
   SPES_ASSIGN_OR_RETURN(const int end,
                         ResolveWindow(source->num_minutes(), options));
-  // Streamed sources train on a materialized prefix — exactly the minutes
-  // the Train() contract allows them to observe — shared across lanes.
-  // In-memory streams train on the real full trace, so policies that peek
-  // past the train window (the oracle) keep their exact behaviour.
-  Trace train_prefix;
-  if (full_trace == nullptr) {
-    SPES_ASSIGN_OR_RETURN(train_prefix,
-                          source->MaterializePrefix(options.train_minutes));
-  }
-  const Trace& training = full_trace != nullptr ? *full_trace : train_prefix;
-
   SimStream stream(source, std::move(owned), options, end);
   stream.lanes_.reserve(policies.size());
-  for (Policy* policy : policies) {
-    SPES_RETURN_NOT_OK(
-        stream.AddLane(policy, training, /*streamed=*/full_trace == nullptr));
-  }
+  for (Policy* policy : policies) stream.AddLane(policy);
   SPES_RETURN_NOT_OK(stream.FinishCreate(
       policies.size() == 1
           ? policies[0]->name()
-          : std::to_string(policies.size()) + " lockstep lanes"));
+          : std::to_string(policies.size()) + " lockstep lanes",
+      full_trace));
   return stream;
 }
 

@@ -87,8 +87,9 @@ class SimStream : public LaneSession {
   /// \brief Streamed single-policy stream over any TraceSource (e.g. a
   /// packed trace file): arrivals are pulled in chunked minute windows, so
   /// the full trace never needs to exist in memory. The policy trains on
-  /// the materialized train prefix; policies whose RequiresFullTrace() is
-  /// true are rejected with InvalidArgument. The source must outlive the
+  /// the sparse training window (decoded only if some lane needs it);
+  /// policies whose RequiresFullTrace() is true are rejected with
+  /// InvalidArgument. The source must outlive the
   /// stream. Outcomes are bitwise-identical to the in-memory overloads.
   static Result<SimStream> Create(TraceSource& source, Policy* policy,
                                   const SimOptions& options);
@@ -140,10 +141,10 @@ class SimStream : public LaneSession {
   SimStream(TraceSource* source, std::unique_ptr<TraceSource> owned,
             const SimOptions& options, int end);
 
-  /// Shared body of the Create() overloads. `full_trace` is non-null for
-  /// the in-memory path (policies then train on the real full trace);
-  /// when null, the train prefix is materialized from `source` and
-  /// RequiresFullTrace() policies are rejected.
+  /// Shared body of the Create() overloads. Every policy trains on the
+  /// training window decoded from `source`, except that on the in-memory
+  /// path (`full_trace` non-null) a RequiresFullTrace() policy trains on
+  /// the full trace; a streamed session (null) rejects such policies.
   static Result<SimStream> CreateImpl(TraceSource* source,
                                       std::unique_ptr<TraceSource> owned,
                                       const Trace* full_trace,

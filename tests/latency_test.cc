@@ -462,9 +462,14 @@ TEST(LatencyLaneTest, RestoreValidatesTheBlob) {
   auto other_lane = CreateLatencyLane(other, TwoHashes()).ValueOrDie();
   EXPECT_EQ(other_lane->RestoreState(blob, 1).code(),
             StatusCode::kInvalidArgument);
-  // Truncations never parse.
+  // Truncations never parse, and a rejected blob leaves the lane as it
+  // was (stepped once, so its state differs from the blob's).
+  target->OnMinute(0, {{1, 5}}, {0});
+  const std::string before = target->SaveState();
+  ASSERT_NE(before, blob);
   for (size_t len = 0; len < blob.size(); ++len) {
     EXPECT_FALSE(target->RestoreState(blob.substr(0, len), 1).ok());
+    EXPECT_EQ(target->SaveState(), before) << "prefix " << len;
   }
 }
 

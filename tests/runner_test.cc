@@ -286,6 +286,35 @@ TEST(SuiteRunnerLockstepTest, SpecObserversAreSlotScoped) {
   EXPECT_EQ(minutes_seen, window);
 }
 
+TEST(SuiteRunnerLockstepTest, MembersKeepTheirOwnLatencyBlock) {
+  // Same window, different latency blocks: lockstep must not run the
+  // second spec on the first spec's options.
+  const GeneratedTrace fleet = MakeFleet();
+  std::vector<ScenarioSpec> specs(2);
+  for (ScenarioSpec& spec : specs) {
+    spec.policy = {"fixed_keepalive", {{"minutes", 10}}};
+    spec.options = Options();
+  }
+  specs[1].options.latency = ParseLatencySpec("constant").ValueOrDie();
+
+  SuiteRunner runner;
+  const std::vector<JobResult> pooled = runner.Run(fleet.trace, specs);
+  const std::vector<JobResult> lockstep =
+      runner.RunLockstep(fleet.trace, specs);
+  ASSERT_EQ(lockstep.size(), 2u);
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(pooled[i].status.ok()) << pooled[i].status.ToString();
+    ASSERT_TRUE(lockstep[i].status.ok()) << lockstep[i].status.ToString();
+    EXPECT_EQ(lockstep[i].outcome.memory_series,
+              pooled[i].outcome.memory_series);
+  }
+  EXPECT_EQ(pooled[0].outcome.latency, nullptr);
+  ASSERT_NE(pooled[1].outcome.latency, nullptr);
+  EXPECT_EQ(lockstep[0].outcome.latency, nullptr);
+  ASSERT_NE(lockstep[1].outcome.latency, nullptr);
+  EXPECT_EQ(*lockstep[1].outcome.latency, *pooled[1].outcome.latency);
+}
+
 TEST(SuiteRunnerTest, EmptyJobListReturnsEmpty) {
   const GeneratedTrace fleet = MakeFleet();
   SuiteRunner runner;
