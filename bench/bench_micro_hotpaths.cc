@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for SPES's hot paths: WT extraction,
 // deterministic categorization, arrival decode, the per-minute provision
-// step (event-driven vs the dense reference loop) and the IAT histogram
+// step (event-driven vs the dense reference loop), SPES training (from a
+// TrainingWindow's slots vs the dense reference) and the IAT histogram
 // update, plus the end-to-end simulation kernel
 // (columnar SimStream vs the kept naive reference loop). These back the
 // RQ2 overhead discussion — every per-invocation operation must be
@@ -39,6 +40,7 @@
 #include "trace/generator.h"
 #include "trace/trace_file.h"
 #include "trace/trace_source.h"
+#include "trace/training_window.h"
 
 #include <filesystem>
 #include <string>
@@ -289,6 +291,58 @@ void BM_SpesProvisionMinuteReference(benchmark::State& state) {
   SpesProvisionMinute<ReferenceSpesPolicy>(state);
 }
 BENCHMARK(BM_SpesProvisionMinuteReference)->Apply(FleetArgs);
+
+// --------------------------------------------------------------------------
+// SPES training: SpesPolicy::Train from the slots of a TrainingWindow vs
+// the dense reference (tests/reference_spes_policy.h) over the
+// materialized Trace, on one sparse fleet (90% rarely-invoked functions,
+// the shape of the Azure trace) of 3 days, 2 of them trained. The window
+// is built once, outside the measurement, so both series time the
+// categorization, the indeterminate assignment and the online-correlation
+// setup. Items/sec counts functions trained;
+// tools/check_bench_regression.py --min-spes-train-ratio gates the ratio of
+// the two series.
+// --------------------------------------------------------------------------
+
+const Trace& SparseTrainFleet(int64_t num_functions) {
+  static std::map<int64_t, std::unique_ptr<Trace>> cache;
+  std::unique_ptr<Trace>& slot = cache[num_functions];
+  if (slot == nullptr) {
+    GeneratorConfig config;
+    config.num_functions = static_cast<int>(num_functions);
+    config.days = 3;
+    config.seed = 7;
+    config.rare_fraction = 0.9;
+    slot = std::make_unique<Trace>(
+        std::move(GenerateTrace(config).ValueOrDie().trace));
+  }
+  return *slot;
+}
+
+void BM_SpesTrain(benchmark::State& state) {
+  const Trace& trace = SparseTrainFleet(state.range(0));
+  InMemoryTraceSource source(trace);
+  const TrainingWindow window =
+      TrainingWindow::Build(source, TrainMinutes(trace)).ValueOrDie();
+  for (auto _ : state) {
+    SpesPolicy policy;
+    policy.Train(window);
+    benchmark::DoNotOptimize(policy.CountByType());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SpesTrain)->Arg(4000)->Unit(benchmark::kMillisecond);
+
+void BM_SpesTrainReference(benchmark::State& state) {
+  const Trace& trace = SparseTrainFleet(state.range(0));
+  for (auto _ : state) {
+    ReferenceSpesPolicy policy;
+    policy.Train(trace, TrainMinutes(trace));
+    benchmark::DoNotOptimize(policy.CountByType());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SpesTrainReference)->Arg(4000)->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------------
 // End-to-end simulation kernel over the last trace day: the columnar

@@ -134,16 +134,16 @@ PredictiveModel FitPossibleModel(const std::vector<int64_t>& wts,
   return model;
 }
 
-PredictiveModel CategorizeDeterministic(std::span<const uint32_t> counts,
+PredictiveModel CategorizeDeterministic(const SeriesFeatures& features,
+                                        int64_t window_minutes,
                                         const SpesConfig& config) {
   PredictiveModel model;
-  const SeriesFeatures features = ExtractSeriesFeatures(counts);
   if (features.total_invocations == 0) return model;  // kUnknown
 
   model.offline_wt_stddev = StdDev(features.wts);
 
   // Priority 1: always warm (no predictive values needed).
-  if (IsAlwaysWarm(features, static_cast<int64_t>(counts.size()), config)) {
+  if (IsAlwaysWarm(features, window_minutes, config)) {
     model.type = FunctionType::kAlwaysWarm;
     return model;
   }
@@ -190,26 +190,44 @@ PredictiveModel CategorizeDeterministic(std::span<const uint32_t> counts,
   return model;  // kUnknown: caller tries indeterminate assignment
 }
 
+PredictiveModel CategorizeDeterministic(std::span<const uint32_t> counts,
+                                        const SpesConfig& config) {
+  return CategorizeDeterministic(ExtractSeriesFeatures(counts),
+                                 static_cast<int64_t>(counts.size()), config);
+}
+
+PredictiveModel CategorizeAfterForgetting(std::span<const ArrivalSlot> slots,
+                                          int window_minutes,
+                                          const SpesConfig& config) {
+  // Drop whole days from the front, one at a time, down to half the window
+  // (§IV-B1): recent behaviour outranks stale behaviour.
+  const int days = window_minutes / kMinutesPerDay;
+  for (int drop = 1; drop <= days / 2; ++drop) {
+    const int offset = drop * kMinutesPerDay;
+    if (offset >= window_minutes) break;
+    PredictiveModel model = CategorizeDeterministic(
+        SlotSeriesFeatures(slots, offset), window_minutes - offset, config);
+    if (model.type != FunctionType::kUnknown) {
+      model.forgotten_prefix_minutes = offset;
+      return model;
+    }
+  }
+  return PredictiveModel{};
+}
+
 PredictiveModel CategorizeWithForgetting(std::span<const uint32_t> counts,
                                          const SpesConfig& config) {
   PredictiveModel model = CategorizeDeterministic(counts, config);
   if (model.type != FunctionType::kUnknown || !config.enable_forgetting) {
     return model;
   }
-  // Drop whole days from the front, one at a time, down to half the window
-  // (§IV-B1): recent behaviour outranks stale behaviour.
-  const int days = static_cast<int>(counts.size()) / kMinutesPerDay;
-  for (int drop = 1; drop <= days / 2; ++drop) {
-    const size_t offset = static_cast<size_t>(drop) * kMinutesPerDay;
-    if (offset >= counts.size()) break;
-    PredictiveModel suffix_model =
-        CategorizeDeterministic(counts.subspan(offset), config);
-    if (suffix_model.type != FunctionType::kUnknown) {
-      suffix_model.forgotten_prefix_minutes = static_cast<int>(offset);
-      return suffix_model;
-    }
+  std::vector<ArrivalSlot> slots;
+  for (size_t t = 0; t < counts.size(); ++t) {
+    if (counts[t] > 0) slots.push_back({static_cast<int32_t>(t), counts[t]});
   }
-  return model;
+  PredictiveModel recovered = CategorizeAfterForgetting(
+      slots, static_cast<int>(counts.size()), config);
+  return recovered.type != FunctionType::kUnknown ? recovered : model;
 }
 
 }  // namespace spes

@@ -55,15 +55,31 @@ bool PassesRegularWithSlacking(const std::vector<int64_t>& wts,
                                const SpesConfig& config,
                                std::vector<int64_t>* regular_wts);
 
-/// \brief Attempts deterministic categorization of one count sequence.
-///
-/// Returns a model with type kUnknown when no deterministic type matches.
+/// \brief Deterministic categorization of one function from its features
+/// over a window of `window_minutes` (the always-warm idle bound reads the
+/// window length). Returns a model with type kUnknown when no deterministic
+/// type matches.
+PredictiveModel CategorizeDeterministic(const SeriesFeatures& features,
+                                        int64_t window_minutes,
+                                        const SpesConfig& config);
+
+/// \brief CategorizeDeterministic() of a dense count sequence.
 PredictiveModel CategorizeDeterministic(std::span<const uint32_t> counts,
                                         const SpesConfig& config);
 
-/// \brief Deterministic categorization with forgetting: retries on suffixes
-/// of the window, dropping whole days from the front down to half the
-/// window, and keeps the first (most-history) success.
+/// \brief The forgetting retries alone (§IV-B1): categorizes the suffixes
+/// of a `window_minutes` window that drop whole days from the front, one
+/// more day at a time down to half the window, and returns the first
+/// (most-history) success with forgotten_prefix_minutes set; kUnknown when
+/// no suffix categorizes. Reads only `slots` (ascending minutes within the
+/// window). The caller gates on config.enable_forgetting.
+PredictiveModel CategorizeAfterForgetting(std::span<const ArrivalSlot> slots,
+                                          int window_minutes,
+                                          const SpesConfig& config);
+
+/// \brief Deterministic categorization of a dense count sequence with
+/// forgetting: the whole window first, then (when enable_forgetting) the
+/// CategorizeAfterForgetting() suffixes.
 PredictiveModel CategorizeWithForgetting(std::span<const uint32_t> counts,
                                          const SpesConfig& config);
 

@@ -15,6 +15,8 @@
 #include <span>
 #include <vector>
 
+#include "trace/training_window.h"
+
 namespace spes {
 
 /// \brief Plain (lag-0) co-occurrence rate of `target` w.r.t. `candidate`:
@@ -44,12 +46,24 @@ struct CorrelationLink {
   double cor = 0.0;
 };
 
-/// \brief BestLaggedCor computed from the target's pre-extracted arrival
-/// slots: O(max_lag * |target arrivals|) instead of scanning the horizon
-/// per lag. Equivalent to BestLaggedCor on the corresponding series.
-BestLag BestLaggedCorFromSlots(const std::vector<int>& target_slots,
-                               std::span<const uint32_t> candidate,
+/// \brief BestLaggedCor of two functions given as their arrival slots
+/// (ascending minutes, as TrainingWindow::slots() gives them): counts each
+/// candidate slot within `max_lag` minutes before a target slot once, so it
+/// costs O(|target| + |candidate| + |target| * (max_lag + 1)) whatever the
+/// window length. Equal to BestLaggedCor on the corresponding dense rows.
+BestLag BestLaggedCorFromSlots(std::span<const ArrivalSlot> target,
+                               std::span<const ArrivalSlot> candidate,
                                int max_lag);
+
+/// \brief Precision of a candidate -> target link at `lag` (§IV-B D2): the
+/// fraction of the candidate's invoked minutes s followed by a target
+/// invocation within [s + max(0, lag - theta), s + lag + theta]; 0 when the
+/// candidate never fires. A hyperactive candidate that would pre-warm the
+/// target non-stop scores low. Both functions are given as arrival slots;
+/// O(|target| + |candidate|).
+double LinkPrecision(std::span<const ArrivalSlot> target,
+                     std::span<const ArrivalSlot> candidate, int lag,
+                     int theta);
 
 }  // namespace spes
 

@@ -1,5 +1,7 @@
 #include "core/series_features.h"
 
+#include <algorithm>
+
 namespace spes {
 
 SeriesFeatures ExtractSeriesFeatures(std::span<const uint32_t> counts) {
@@ -33,6 +35,40 @@ SeriesFeatures ExtractSeriesFeatures(std::span<const uint32_t> counts) {
       }
       if (seen_invocation) ++idle_run;
     }
+  }
+  if (active_run > 0) {
+    out.ats.push_back(active_run);
+    out.ans.push_back(active_sum);
+  }
+  return out;
+}
+
+SeriesFeatures SlotSeriesFeatures(std::span<const ArrivalSlot> slots,
+                                  int begin) {
+  SeriesFeatures out;
+  auto it = std::lower_bound(
+      slots.begin(), slots.end(), begin,
+      [](const ArrivalSlot& slot, int minute) { return slot.minute < minute; });
+  int64_t previous = -1;
+  int64_t active_run = 0;
+  int64_t active_sum = 0;
+  for (; it != slots.end(); ++it) {
+    const int64_t t = it->minute - begin;
+    if (previous >= 0 && t > previous + 1) {
+      // A gap closes the active run and is itself a completed WT.
+      out.ats.push_back(active_run);
+      out.ans.push_back(active_sum);
+      out.wts.push_back(t - previous - 1);
+      active_run = 0;
+      active_sum = 0;
+    }
+    ++active_run;
+    active_sum += it->count;
+    ++out.active_slots;
+    out.total_invocations += it->count;
+    if (out.first_invoked < 0) out.first_invoked = t;
+    out.last_invoked = t;
+    previous = t;
   }
   if (active_run > 0) {
     out.ats.push_back(active_run);

@@ -8,6 +8,11 @@
 // AT=(1,2,1), AN=(28,13,7). Leading idle slots (before the first
 // invocation) and the trailing idle run (not yet terminated by an arrival)
 // are NOT waiting times.
+//
+// The features read either a dense count row or a function's sparse
+// arrival slots (trace/training_window.h). The slot form costs what the
+// function's invoked minutes cost, not the window length: training walks
+// every function of a mostly idle fleet, so it reads the slots.
 
 #ifndef SPES_CORE_SERIES_FEATURES_H_
 #define SPES_CORE_SERIES_FEATURES_H_
@@ -15,6 +20,8 @@
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "trace/training_window.h"
 
 namespace spes {
 
@@ -36,6 +43,14 @@ struct SeriesFeatures {
 
 /// \brief Extracts WT/AT/AN and summary counters from `counts`.
 SeriesFeatures ExtractSeriesFeatures(std::span<const uint32_t> counts);
+
+/// \brief ExtractSeriesFeatures() of the dense row `slots` expand to,
+/// restricted to minutes [begin, ...) and rebased so `begin` is index 0 (the
+/// suffix a forgetting retry sees). Reads only the slots at or past
+/// `begin`: O(log |slots| + slots read). `slots` must be in ascending
+/// minute order with counts >= 1, as TrainingWindow::slots() gives them.
+SeriesFeatures SlotSeriesFeatures(std::span<const ArrivalSlot> slots,
+                                  int begin = 0);
 
 /// \brief Slot indices with at least one arrival (ascending).
 std::vector<int> InvokedSlots(std::span<const uint32_t> counts);

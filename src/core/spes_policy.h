@@ -1,10 +1,13 @@
 // SPES: the differentiated provisioning scheduler (§IV, Algorithm 1).
 //
-// Offline (Train): per-function WT/AT/AN features are extracted from the
-// training window; functions are categorized deterministically (with the
-// forgetting fallback), indeterminate functions are assigned to pulsed /
-// correlated / possible by validation replay, and inter-function
-// correlation links are mined from T-lagged co-occurrence.
+// Offline (Train): per-function WT/AT/AN features are extracted from each
+// function's arrival slots in the training window; functions are
+// categorized deterministically (with the forgetting fallback),
+// indeterminate functions are assigned to pulsed / correlated / possible
+// by validation replay, and inter-function correlation links are mined
+// from T-lagged co-occurrence of slot lists. Only the validation replays
+// expand dense rows, so training costs O(cells + indeterminate x
+// validation_minutes), not O(n x train_minutes).
 //
 // Online (OnMinute): arrivals refresh each function's waiting-time state
 // and (adaptive strategy S2) drift-adjust its predictive values; unknown

@@ -9,6 +9,15 @@ namespace {
 
 std::vector<uint32_t> Seq(std::initializer_list<uint32_t> xs) { return xs; }
 
+/// The arrival slots of a dense row, as TrainingWindow::slots() holds them.
+std::vector<ArrivalSlot> SlotsOf(const std::vector<uint32_t>& counts) {
+  std::vector<ArrivalSlot> slots;
+  for (size_t t = 0; t < counts.size(); ++t) {
+    if (counts[t] > 0) slots.push_back({static_cast<int32_t>(t), counts[t]});
+  }
+  return slots;
+}
+
 TEST(CorTest, IdenticalSeriesHaveCorOne) {
   const auto a = Seq({1, 0, 1, 0, 1});
   EXPECT_DOUBLE_EQ(CoOccurrenceRate(a, a), 1.0);
@@ -74,19 +83,16 @@ TEST(BestLaggedCorTest, SlotsVariantMatchesSeriesVariant) {
     candidate[static_cast<size_t>(t - 5)] = 2;
     if (t % 2 == 0) target[static_cast<size_t>(t)] = 1;
   }
-  std::vector<int> slots;
-  for (size_t t = 0; t < target.size(); ++t) {
-    if (target[t] > 0) slots.push_back(static_cast<int>(t));
-  }
   const BestLag a = BestLaggedCor(target, candidate, 10);
-  const BestLag b = BestLaggedCorFromSlots(slots, candidate, 10);
+  const BestLag b =
+      BestLaggedCorFromSlots(SlotsOf(target), SlotsOf(candidate), 10);
   EXPECT_EQ(a.lag, b.lag);
   EXPECT_DOUBLE_EQ(a.cor, b.cor);
 }
 
 TEST(BestLaggedCorTest, EmptyTargetSlots) {
   const auto candidate = Seq({1, 1, 1});
-  const BestLag best = BestLaggedCorFromSlots({}, candidate, 10);
+  const BestLag best = BestLaggedCorFromSlots({}, SlotsOf(candidate), 10);
   EXPECT_DOUBLE_EQ(best.cor, 0.0);
 }
 
@@ -99,11 +105,8 @@ TEST_P(LagSweepTest, RecoversInjectedLag) {
     candidate[static_cast<size_t>(t)] = 1;
     target[static_cast<size_t>(t + lag)] = 1;
   }
-  std::vector<int> slots;
-  for (size_t t = 0; t < target.size(); ++t) {
-    if (target[t] > 0) slots.push_back(static_cast<int>(t));
-  }
-  const BestLag best = BestLaggedCorFromSlots(slots, candidate, 10);
+  const BestLag best =
+      BestLaggedCorFromSlots(SlotsOf(target), SlotsOf(candidate), 10);
   EXPECT_EQ(best.lag, lag);
   EXPECT_DOUBLE_EQ(best.cor, 1.0);
 }

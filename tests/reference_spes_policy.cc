@@ -13,6 +13,47 @@
 
 namespace spes {
 
+PredictiveModel ReferenceCategorizeWithForgetting(
+    std::span<const uint32_t> counts, const SpesConfig& config) {
+  PredictiveModel model = CategorizeDeterministic(counts, config);
+  if (model.type != FunctionType::kUnknown || !config.enable_forgetting) {
+    return model;
+  }
+  const int days = static_cast<int>(counts.size()) / kMinutesPerDay;
+  for (int drop = 1; drop <= days / 2; ++drop) {
+    const size_t offset = static_cast<size_t>(drop) * kMinutesPerDay;
+    if (offset >= counts.size()) break;
+    PredictiveModel suffix_model =
+        CategorizeDeterministic(counts.subspan(offset), config);
+    if (suffix_model.type != FunctionType::kUnknown) {
+      suffix_model.forgotten_prefix_minutes = static_cast<int>(offset);
+      return suffix_model;
+    }
+  }
+  return model;
+}
+
+double ReferenceLinkPrecision(std::span<const uint32_t> target,
+                              std::span<const uint32_t> candidate, int lag,
+                              int theta) {
+  int64_t cand_fires = 0, followed = 0;
+  for (size_t s = 0; s < candidate.size(); ++s) {
+    if (candidate[s] == 0) continue;
+    ++cand_fires;
+    const size_t lo = s + static_cast<size_t>(std::max(0, lag - theta));
+    const size_t hi = s + static_cast<size_t>(lag + theta);
+    for (size_t u = lo; u <= hi && u < target.size(); ++u) {
+      if (target[u] > 0) {
+        ++followed;
+        break;
+      }
+    }
+  }
+  return cand_fires == 0 ? 0.0
+                         : static_cast<double>(followed) /
+                               static_cast<double>(cand_fires);
+}
+
 ReferenceSpesPolicy::ReferenceSpesPolicy(SpesConfig config)
     : config_(config) {}
 
@@ -75,7 +116,8 @@ void ReferenceSpesPolicy::Train(const Trace& trace, int train_minutes) {
 
     st.model = CategorizeDeterministic(counts, config_);
     if (st.model.type == FunctionType::kUnknown && config_.enable_forgetting) {
-      PredictiveModel recovered = CategorizeWithForgetting(counts, config_);
+      PredictiveModel recovered =
+          ReferenceCategorizeWithForgetting(counts, config_);
       if (recovered.type != FunctionType::kUnknown) {
         st.model = recovered;
         ++forgetting_recategorized_;
@@ -99,16 +141,11 @@ void ReferenceSpesPolicy::Train(const Trace& trace, int train_minutes) {
     // Candidate functions: share the application or owner (§IV-B D2).
     std::vector<CorrelationLink> links;
     if (config_.enable_correlated) {
-      const std::vector<int> target_slots_vec = [&] {
-        std::vector<int> slots;
-        const auto train_slice = trace.Slice(f, 0, train_minutes);
-        for (size_t t = 0; t < train_slice.size(); ++t) {
-          if (train_slice[t] > 0) slots.push_back(static_cast<int>(t));
-        }
-        return slots;
-      }();
-      if (static_cast<int>(target_slots_vec.size()) >=
-          config_.tcor_min_target_arrivals) {
+      const auto train_slice = trace.Slice(f, 0, train_minutes);
+      const auto target_arrivals = std::count_if(
+          train_slice.begin(), train_slice.end(),
+          [](uint32_t count) { return count > 0; });
+      if (target_arrivals >= config_.tcor_min_target_arrivals) {
         std::vector<size_t> candidates;
         auto app_it = by_app.find(trace.function(f).meta.app);
         if (app_it != by_app.end()) {
@@ -126,32 +163,14 @@ void ReferenceSpesPolicy::Train(const Trace& trace, int train_minutes) {
         for (size_t c : candidates) {
           if (c == f || !states_[c].seen_in_training) continue;
           const auto candidate_slice = trace.Slice(c, 0, train_minutes);
-          const BestLag best = BestLaggedCorFromSlots(
-              target_slots_vec, candidate_slice, config_.tcor_max_lag);
+          const BestLag best =
+              BestLaggedCor(train_slice, candidate_slice, config_.tcor_max_lag);
           if (best.cor < config_.tcor_threshold) continue;
           // Precision check: how often does a candidate firing actually
           // precede a target invocation? (Guards against hyperactive
           // candidates that would pre-warm the target non-stop.)
-          int64_t cand_fires = 0, followed = 0;
-          const auto target_slice = trace.Slice(f, 0, train_minutes);
-          for (size_t s = 0; s < candidate_slice.size(); ++s) {
-            if (candidate_slice[s] == 0) continue;
-            ++cand_fires;
-            const size_t lo = s + static_cast<size_t>(std::max(
-                                      0, best.lag - config_.theta_prewarm));
-            const size_t hi =
-                s + static_cast<size_t>(best.lag + config_.theta_prewarm);
-            for (size_t u = lo; u <= hi && u < target_slice.size(); ++u) {
-              if (target_slice[u] > 0) {
-                ++followed;
-                break;
-              }
-            }
-          }
-          const double precision =
-              cand_fires == 0 ? 0.0
-                              : static_cast<double>(followed) /
-                                    static_cast<double>(cand_fires);
+          const double precision = ReferenceLinkPrecision(
+              train_slice, candidate_slice, best.lag, config_.theta_prewarm);
           if (precision < config_.tcor_min_precision) continue;
           links.push_back({static_cast<uint32_t>(f),
                            static_cast<uint32_t>(c), best.lag, best.cor});

@@ -24,6 +24,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,20 @@
 #include "sim/policy.h"
 
 namespace spes {
+
+/// \brief The literal dense forgetting loop (§IV-B1): categorize the whole
+/// row, then, while unknown, each suffix dropping one more whole day from
+/// the front down to half the row. The oracle for the slot-form
+/// CategorizeAfterForgetting().
+PredictiveModel ReferenceCategorizeWithForgetting(
+    std::span<const uint32_t> counts, const SpesConfig& config);
+
+/// \brief The dense link-precision scan over two count rows: for every
+/// candidate minute s, look for a target invocation in
+/// [s + max(0, lag - theta), s + lag + theta]. The oracle for LinkPrecision().
+double ReferenceLinkPrecision(std::span<const uint32_t> target,
+                              std::span<const uint32_t> candidate, int lag,
+                              int theta);
 
 /// \brief The dense SPES provisioning policy (oracle).
 class ReferenceSpesPolicy : public Policy {

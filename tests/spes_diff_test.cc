@@ -4,13 +4,17 @@
 // SaveState() bytes, on generated fleets (dense, sparse, bursty) across
 // the ablation configs, under outside evictions and skipped minutes, in a
 // capped cluster with a node failure, and across cross-restores in both
-// directions. A property test pins the wake-up computation itself.
+// directions. SpesPolicy trained from a TrainingWindow's slots must also
+// give the dense reference's SaveState() bytes over multi-day windows
+// (where forgetting drops days) and when a trigger has no seen function.
+// A property test pins the wake-up computation itself.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +27,8 @@
 #include "sim/columnar.h"
 #include "tests/reference_spes_policy.h"
 #include "trace/generator.h"
+#include "trace/trace_source.h"
+#include "trace/training_window.h"
 #include "trace/transform.h"
 
 namespace spes {
@@ -475,6 +481,114 @@ TEST(SpesDiffTest, RestoreRejectsBlobsBreakingStepInvariants) {
   // The rejected restores left `policy` stepping as before.
   StepInLockstep(trace, &ref_lane, &new_lane, train + 300,
                  trace.num_minutes(), Plan{}, "after rejected restores");
+}
+
+// --- Training from the window's slots vs the dense oracle. ---------------
+
+/// A rare-0.9 fleet over six days whose unseen functions stay silent until
+/// the last day, so every training window below leaves them unseen.
+Trace RareFleet() {
+  GeneratorConfig config;
+  config.num_functions = 400;
+  config.days = 6;
+  config.seed = 31;
+  config.rare_fraction = 0.9;
+  config.unseen_fraction = 0.1;
+  config.unseen_days = 1;
+  return Generate(config);
+}
+
+/// Trains `policy` from the slots of a TrainingWindow and `reference` from
+/// the dense Trace, and requires equal SaveState() bytes right after.
+void ExpectTrainMatches(const Trace& trace, int train, SpesPolicy* policy,
+                        ReferenceSpesPolicy* reference,
+                        const std::string& context) {
+  InMemoryTraceSource source(trace);
+  const TrainingWindow window =
+      TrainingWindow::Build(source, train).ValueOrDie();
+  policy->Train(window);
+  reference->Train(trace, train);
+  EXPECT_EQ(policy->SaveState().ValueOrDie(),
+            reference->SaveState().ValueOrDie())
+      << context;
+  EXPECT_EQ(policy->forgetting_recategorized(),
+            reference->forgetting_recategorized())
+      << context;
+}
+
+TEST(SpesDiffTest, MultiDayTrainingFromTheWindowMatchesDenseOracle) {
+  const Trace trace = RareFleet();
+  std::vector<std::pair<std::string, SpesConfig>> configs;
+  configs.emplace_back("spes", SpesConfig{});
+  SpesConfig c;
+  c.validation_minutes = 1000;
+  configs.emplace_back("validation_minutes=1000", c);
+  c = SpesConfig{};
+  c.enable_forgetting = false;
+  configs.emplace_back("enable_forgetting=false", c);
+  c = SpesConfig{};
+  c.enable_correlated = false;
+  configs.emplace_back("enable_correlated=false", c);
+
+  // 2880 and 3000 minutes let forgetting drop one day, 4320 one, 5760 two;
+  // the default 2880-minute validation replay is shorter than all but the
+  // first window.
+  int64_t forgotten = 0;
+  int64_t correlated = 0;
+  for (const int train : {2880, 3000, 4320, 5760}) {
+    for (const auto& [label, config] : configs) {
+      SpesPolicy policy(config);
+      ReferenceSpesPolicy reference(config);
+      ExpectTrainMatches(trace, train, &policy, &reference,
+                         label + " @ " + std::to_string(train));
+      forgotten += reference.forgetting_recategorized();
+      correlated += reference.CountByType()[static_cast<size_t>(
+          FunctionType::kCorrelated)];
+    }
+  }
+  // The forgetting retries and the mined links both take part.
+  EXPECT_GT(forgotten, 0);
+  EXPECT_GT(correlated, 0);
+}
+
+TEST(SpesDiffTest, OnlineCorrelationForATriggerWithNoSeenFunction) {
+  // Unseen functions alternate between the orchestration trigger, which no
+  // seen function has, and the event trigger, which three seen functions
+  // have: the same-trigger fallback finds nothing for the first and fewer
+  // than online_corr_max_candidates for the second.
+  const Trace base = RareFleet();
+  const int train = 2 * kMinutesPerDay;
+  Trace trace(base.num_minutes());
+  int unseen = 0;
+  int seen_events = 0;
+  for (const FunctionTrace& function : base.functions()) {
+    FunctionTrace copy = function;
+    const auto window = std::span<const uint32_t>(copy.counts).first(train);
+    const bool seen = std::any_of(window.begin(), window.end(),
+                                  [](uint32_t count) { return count > 0; });
+    TriggerType& trigger = copy.meta.trigger;
+    if (!seen) {
+      trigger = unseen++ % 2 == 0 ? TriggerType::kOrchestration
+                                  : TriggerType::kEvent;
+    } else if (seen_events < 3) {
+      trigger = TriggerType::kEvent;
+      ++seen_events;
+    } else if (trigger == TriggerType::kOrchestration ||
+               trigger == TriggerType::kEvent) {
+      trigger = TriggerType::kHttp;
+    }
+    ASSERT_TRUE(trace.Add(std::move(copy)).ok());
+  }
+  ASSERT_GT(unseen, 10);
+
+  SpesPolicy policy;
+  ReferenceSpesPolicy reference;
+  ExpectTrainMatches(trace, train, &policy, &reference, "after Train");
+  const size_t n = trace.num_functions();
+  Lane ref_lane{&reference, MemSet(n)};
+  Lane new_lane{&policy, MemSet(n)};
+  StepInLockstep(trace, &ref_lane, &new_lane, train, trace.num_minutes(),
+                 Plan{}, "orphan trigger");
 }
 
 // --- Property: no pre-load minute hides before the wake-up minute. -------

@@ -6,7 +6,7 @@ Reads two google-benchmark JSON files — the committed trajectory artifact
 items_per_second of any gated benchmark drops more than --tolerance
 (default 20%) below the committed value.
 
-Also enforces two machine-independent invariants inside the fresh run
+Also enforces machine-independent invariants inside the fresh run
 itself (each compares two measurements from the same process on the same
 machine, so they hold on any runner class):
 
@@ -16,6 +16,10 @@ machine, so they hold on any runner class):
     step) must be at least R times faster (items/sec) than
     BM_SpesProvisionMinuteReference (the dense reference loop) at every
     common fleet size.
+  * --min-spes-train-ratio R: BM_SpesTrain (SPES training from the
+    slots of a TrainingWindow) must be at least R times faster (items/sec)
+    than BM_SpesTrainReference (the dense reference over the materialized
+    Trace) at every common fleet size.
   * --max-stream-overhead F: BM_TraceFileStreamDecode (the packed-file
     streaming decode) may be at most F times slower than BM_InMemoryDecode
     at every common fleet size — the out-of-core path must stay within a
@@ -24,7 +28,8 @@ machine, so they hold on any runner class):
 Usage:
   tools/check_bench_regression.py BASELINE.json FRESH.json \
       [--tolerance 0.20] [--min-ratio 10] [--min-spes-ratio 0.6] \
-      [--max-stream-overhead 6] [--gate BM_SimKernelColumnar]
+      [--min-spes-train-ratio 3] [--max-stream-overhead 6] \
+      [--gate BM_SimKernelColumnar]
 """
 
 import argparse
@@ -88,6 +93,9 @@ def main():
     parser.add_argument("--min-spes-ratio", type=float, default=None,
                         help="required event-driven/dense SPES provision "
                              "step items/sec ratio within the fresh run")
+    parser.add_argument("--min-spes-train-ratio", type=float, default=None,
+                        help="required slot-form/dense SPES training "
+                             "items/sec ratio within the fresh run")
     parser.add_argument("--max-stream-overhead", type=float, default=None,
                         help="max allowed in-memory/streamed decode "
                              "items/sec ratio within the fresh run")
@@ -128,6 +136,11 @@ def main():
                         "BM_SpesProvisionMinuteReference",
                         args.min_spes_ratio,
                         "SPES provision event-driven/dense", failures)
+
+    if args.min_spes_train_ratio is not None:
+        check_min_ratio(fresh, "BM_SpesTrain", "BM_SpesTrainReference",
+                        args.min_spes_train_ratio,
+                        "SPES training slots/dense", failures)
 
     if args.max_stream_overhead is not None:
         in_memory = series(fresh, "BM_InMemoryDecode")
